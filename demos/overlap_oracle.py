@@ -18,9 +18,7 @@ y = states.random_state(d, rng, max_z=0.5, max_f=0.9)
 closed = states.overlap(x, y)
 print(f"closed form   (x|y) = {closed:.12f}")
 
-cutoff = 20
-while fock.tail_bound(x, cutoff) > 1e-9 or fock.tail_bound(y, cutoff) > 1e-9:
-    cutoff += 5
+cutoff = max(fock.cutoff_for(x, 1e-9), fock.cutoff_for(y, 1e-9))
 print(f"cutoff {cutoff}: tail bounds "
       f"{fock.tail_bound(x, cutoff):.2e} / {fock.tail_bound(y, cutoff):.2e}")
 

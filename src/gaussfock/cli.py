@@ -108,10 +108,7 @@ def _cmd_overlap(args) -> int:
     if args.oracle:
         cutoff = args.cutoff
         if cutoff is None:
-            cutoff = 20
-            while cutoff < 200 and (fock.tail_bound(a, cutoff) > 1e-8
-                                    or fock.tail_bound(b, cutoff) > 1e-8):
-                cutoff += 5
+            cutoff = max(fock.cutoff_for(a, 1e-8), fock.cutoff_for(b, 1e-8))
         oracle_val = fock.inner(fock.represent_state(a, cutoff),
                                 fock.represent_state(b, cutoff))
         diff = abs(val - oracle_val)

@@ -1,25 +1,28 @@
 """Truncated Fock space oracle: brute-force symmetric tensor algebra.
 
-Everything here is computed from first principles on a dense occupation-number
-grid, independently of the closed-form layer, so the two can cross-check each
-other. A FockTensor stores the coefficients c_m of sum_m c_m E_m where
-E_m = e_1^{m_1} v ... v e_d^{m_d} and ||E_m||^2 = m! = prod(m_mu!); the grid
-has shape (cutoff+1,)^dim and entries of total degree beyond the cutoff are
-identically zero.
+Everything here is computed from first principles on a truncated
+occupation-number basis, independently of the closed-form layer, so the two
+can cross-check each other. A FockTensor stores the coefficients c_m of
+sum_m c_m E_m where E_m = e_1^{m_1} v ... v e_d^{m_d} and
+||E_m||^2 = m! = prod(m_mu!); the grid has shape (cutoff+1,)^dim and entries
+of total degree beyond the cutoff are identically zero. A FockOperator is a
+dense matrix on the flat basis of basis_indices, ordered by degree.
 
-Products are exact convolutions. FFT convolution is deliberately avoided:
-it leaves absolute noise ~1e-16 in high-degree entries, and the m! weights
-(up to ~1e150 at the cutoffs used here) turn that into garbage inner
-products. Instead symmetric_product dispatches between a shift-add over the
-sparser factor and a lower-triangular Toeplitz matmul along a single axis,
-both of which keep per-entry relative error at machine level.
+The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
+(m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
+(Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
+basis and scattered into the grid once; Gamma(B) builds each column from the
+column of its parent m - e_mu the same way. General products are exact
+convolutions, a shift-add over the nonzeros of the sparser factor: FFT noise
+of ~1e-16 in high-degree entries, under m! weights up to ~1e150, would swamp
+the inner products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
@@ -56,11 +59,11 @@ __all__ = [
     "apply_operator",
     "alpha_norm",
     "tail_bound",
+    "cutoff_for",
 ]
 
 MAX_GRID_ENTRIES = 20_000_000
 MAX_CUTOFF = 170          # 171! overflows float64 basis weights
-SPARSE_NNZ_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,20 +124,59 @@ def _weight_grid(dim: int, cutoff: int) -> np.ndarray:
     return W
 
 
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """The flat basis with its lowering table.
+
+    idx[i] is the i-th multi-index, ordered by (total degree, lexicographic),
+    key[i] its position in the flattened grid, and positions
+    start[n]:start[n+1] hold degree n. down[i, mu] is the position of
+    idx[i] - e_mu, or size when idx[i, mu] = 0; callers pad their arrays with
+    a zero there. parent[i] = down[i, axis[i]] for the first axis with
+    idx[i, axis] > 0: the edge along which the recurrences build entry i.
+    """
+
+    idx: np.ndarray
+    key: np.ndarray
+    down: np.ndarray
+    start: np.ndarray
+    axis: np.ndarray
+    parent: np.ndarray
+    size: int
+
+
+@lru_cache(maxsize=32)
+def _basis(dim: int, cutoff: int) -> _Basis:
+    _check_size(dim, cutoff)
+    # grid keys in base cutoff+1 sort like the multi-indices they encode
+    strides = (cutoff + 1) ** np.arange(dim - 1, -1, -1)
+    levels = [np.zeros(1, dtype=np.int64)]
+    raises = []
+    for _ in range(cutoff):
+        kids = (levels[-1][:, None] + strides).ravel()
+        level, inverse = np.unique(kids, return_inverse=True)
+        levels.append(level)
+        raises.append(inverse.reshape(-1, dim))
+    start = np.cumsum([0] + [len(level) for level in levels])
+    key = np.concatenate(levels).astype(np.int32)
+    idx = np.stack(np.unravel_index(key, (cutoff + 1,) * dim), axis=1,
+                   dtype=np.int32)
+    size = len(key)
+    down = np.full((size, dim), size, dtype=np.int32)
+    for n, inverse in enumerate(raises):
+        down[inverse + start[n + 1], np.arange(dim)] = np.arange(
+            start[n], start[n + 1])[:, None]
+    axis = np.argmax(idx > 0, axis=1)
+    parent = down[np.arange(size), axis]
+    for arr in (idx, key, down, start, axis, parent):
+        arr.flags.writeable = False
+    return _Basis(idx, key, down, start, axis, parent, size)
+
+
 @lru_cache(maxsize=32)
 def basis_indices(dim: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     """Occupation multi-indices ordered by (total degree, lexicographic)."""
-    _check_size(dim, cutoff)
-    out = []
-    for n in range(cutoff + 1):
-        level = set()
-        for combo in combinations_with_replacement(range(dim), n):
-            m = [0] * dim
-            for mu in combo:
-                m[mu] += 1
-            level.add(tuple(m))
-        out.extend(sorted(level))
-    return tuple(out)
+    return tuple(map(tuple, _basis(dim, cutoff).idx.tolist()))
 
 
 def make_tensor(dim: int, cutoff: int, coeffs) -> FockTensor:
@@ -180,57 +222,18 @@ def _shift_add(A: np.ndarray, B: np.ndarray, cutoff: int,
     return out
 
 
-def _axis_profile(X: np.ndarray) -> list[int]:
-    """Axes along which X has support beyond index 0."""
-    nz = X != 0
-    active = []
-    for axis in range(X.ndim):
-        others = tuple(i for i in range(X.ndim) if i != axis)
-        line = nz.any(axis=others) if others else nz
-        if line[1:].any():
-            active.append(axis)
-    return active
-
-
-def _line_product(v: np.ndarray, B: np.ndarray, axis: int, cutoff: int,
-                  deg: np.ndarray) -> np.ndarray:
-    """Product with a factor supported on one axis: Toeplitz matmul."""
-    n = cutoff + 1
-    T = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        T[i:, i] = v[: n - i]
-    Bm = np.moveaxis(B, axis, 0)
-    out = (T @ Bm.reshape(n, -1)).reshape(Bm.shape)
-    out = np.moveaxis(out, 0, axis)
-    out[deg > cutoff] = 0.0
-    return out
-
-
 def symmetric_product(F: FockTensor, G: FockTensor) -> FockTensor:
     """F v G: plain coefficient convolution truncated at the cutoff.
 
     E_m v E_n = E_{m+n}, so the product of coefficient arrays is their
-    discrete convolution. Dispatch: shift-add over the sparser factor when it
-    has few nonzeros, Toeplitz matmul when one factor lives on a single axis
-    line, shift-add otherwise.
+    discrete convolution, summed exactly as a shift-add over the nonzeros of
+    the sparser factor.
     """
     d, N = _common(F, G)
-    deg = _degree_grid(d, N)
     A, B = F.coeffs, G.coeffs
-    nzA, nzB = int(np.count_nonzero(A)), int(np.count_nonzero(B))
-    if nzA == 0 or nzB == 0:
-        return FockTensor(d, N, np.zeros_like(A))
-    if min(nzA, nzB) <= SPARSE_NNZ_LIMIT:
-        small, big = (A, B) if nzA <= nzB else (B, A)
-        return FockTensor(d, N, _shift_add(small, big, N, deg))
-    for X, Y in ((A, B), (B, A)):
-        active = _axis_profile(X)
-        if len(active) <= 1:
-            axis = active[0] if active else 0
-            sel = tuple(slice(None) if i == axis else 0 for i in range(d))
-            return FockTensor(d, N, _line_product(X[sel], Y, axis, N, deg))
-    small, big = (A, B) if nzA <= nzB else (B, A)
-    return FockTensor(d, N, _shift_add(small, big, N, deg))
+    if np.count_nonzero(A) > np.count_nonzero(B):
+        A, B = B, A
+    return FockTensor(d, N, _shift_add(A, B, N, _degree_grid(d, N)))
 
 
 def inner(F: FockTensor, G: FockTensor) -> complex:
@@ -280,13 +283,17 @@ def exp_vector(f, cutoff: int) -> FockTensor:
     return FockTensor(d, cutoff, out)
 
 
+def _check_symmetric(A: np.ndarray) -> None:
+    if hs_norm(A - A.T) > 1e-10 * (1.0 + operator_norm(A)):
+        raise NotSymmetricError("quadratic tensor parameter must be symmetric")
+
+
 def omega_tensor(A, cutoff: int) -> FockTensor:
     """Omega(A) = 1/2 sum_{mu,nu} A_{mu,nu} e_mu v e_nu for symmetric A."""
     A = as_matrix(A)
     d = A.shape[0]
     _check_size(d, cutoff)
-    if hs_norm(A - A.T) > 1e-10 * (1.0 + operator_norm(A)):
-        raise NotSymmetricError("quadratic tensor parameter must be symmetric")
+    _check_symmetric(A)
     out = np.zeros((cutoff + 1,) * d, dtype=complex)
     if cutoff >= 2:
         for mu in range(d):
@@ -298,74 +305,49 @@ def omega_tensor(A, cutoff: int) -> FockTensor:
     return FockTensor(d, cutoff, out)
 
 
+def _gaussian(A: np.ndarray, f: np.ndarray, c0: complex,
+              cutoff: int) -> FockTensor:
+    """c0 (exp Omega(A) v exp f) truncated at the cutoff, by the recurrence
+    (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}."""
+    d = A.shape[0]
+    b = _basis(d, cutoff)
+    c = np.zeros(b.size + 1, dtype=complex)    # c[b.size] = 0 is the pad
+    c[0] = c0
+    for n in range(1, cutoff + 1):
+        rows = np.arange(b.start[n], b.start[n + 1])
+        mu, p = b.axis[rows], b.parent[rows]
+        c[rows] = ((f[mu] * c[p] + np.sum(A[mu] * c[b.down[p]], axis=1))
+                   / b.idx[rows, mu])
+    return _unflatten(d, cutoff, c[:-1])
+
+
 def exp_omega(A, cutoff: int) -> FockTensor:
     """exp Omega(A) = sum_{n <= cutoff/2} Omega(A)^{vn} / n!.
 
-    Requires ||A|| < 1 so the series has summable Fock norm. The n-th term
-    is homogeneous of degree 2n, so the running product only needs the grid
-    block of per-axis extent 2n+1; the series is accumulated on those
-    growing blocks.
+    Requires ||A|| < 1 so the series has summable Fock norm.
     """
     A = as_matrix(A)
     nA = operator_norm(A)
     if nA >= 1.0:
         raise NotInDiscError(
             f"exp Omega requires operator norm below 1, got {nA:.6f}", nA)
-    d = A.shape[0]
-    om = omega_tensor(A, cutoff)
-    out = np.zeros((cutoff + 1,) * d, dtype=complex)
-    out[(0,) * d] = 1.0
-    if not np.any(om.coeffs):
-        return FockTensor(d, cutoff, out)
-    nz = [(tuple(int(v) for v in m), om.coeffs[tuple(m)])
-          for m in np.argwhere(om.coeffs)]
-    term = np.zeros((cutoff + 1,) * d, dtype=complex)
-    term[(0,) * d] = 1.0
-    ext = 1
-    for n in range(1, cutoff // 2 + 1):
-        new = np.zeros_like(term)
-        src = term[(slice(0, ext),) * d]
-        for m, c in nz:
-            new[tuple(slice(mj, mj + ext) for mj in m)] += (c / n) * src
-        term = new
-        ext += 2
-        blk = (slice(0, ext),) * d
-        out[blk] += term[blk]
-    return FockTensor(d, cutoff, out)
+    _check_symmetric(A)
+    return _gaussian(A, np.zeros(A.shape[0], dtype=complex), 1.0, cutoff)
 
 
 def represent_state(x: UltracoherentState, cutoff: int) -> FockTensor:
-    """Truncated coefficients of exp(log_amp) (exp Omega(Z) v exp f).
-
-    The displacement factor is multiplied in mode by mode
-    (exp f = prod_mu exp(f_mu e_mu)), keeping each product on the exact
-    single-axis path.
-    """
-    d = x.dim
-    _check_size(d, cutoff)
-    out = exp_omega(x.Z.Z, cutoff)
-    deg = _degree_grid(d, cutoff)
-    fac = np.cumprod(np.concatenate([[1.0], np.arange(1.0, cutoff + 1)]))
-    pows = np.arange(cutoff + 1)
-    coeffs = out.coeffs
-    for mu in range(d):
-        if x.f[mu] == 0:
-            continue
-        line = np.power(x.f[mu], pows) / fac
-        coeffs = _line_product(line.astype(complex), coeffs, mu, cutoff, deg)
-    return FockTensor(d, cutoff, np.exp(x.log_amp) * coeffs)
+    """Truncated coefficients of exp(log_amp) (exp Omega(Z) v exp f)."""
+    return _gaussian(x.Z.Z, x.f, np.exp(x.log_amp), cutoff)
 
 
 def _flatten(F: FockTensor) -> np.ndarray:
-    idx = np.array(basis_indices(F.dim, F.cutoff))
-    return F.coeffs[tuple(idx.T)]
+    return F.coeffs.reshape(-1)[_basis(F.dim, F.cutoff).key]
 
 
 def _unflatten(dim: int, cutoff: int, vec: np.ndarray) -> FockTensor:
-    idx = np.array(basis_indices(dim, cutoff))
-    c = np.zeros((cutoff + 1,) * dim, dtype=complex)
-    c[tuple(idx.T)] = vec
-    return FockTensor(dim, cutoff, c)
+    c = np.zeros((cutoff + 1) ** dim, dtype=complex)
+    c[_basis(dim, cutoff).key] = vec
+    return FockTensor(dim, cutoff, c.reshape((cutoff + 1,) * dim))
 
 
 def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
@@ -375,23 +357,19 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     return _unflatten(F.dim, F.cutoff, op.matrix @ _flatten(F))
 
 
+def _lowering(b: _Basis, vals) -> np.ndarray:
+    """Matrix with vals[j, mu] (broadcast) at (down[j, mu], j), for the
+    entries where idx[j, mu] > 0."""
+    M = np.zeros((b.size + 1, b.size), dtype=complex)
+    M[b.down, np.arange(b.size)[:, None]] = vals
+    return M[:-1]
+
+
 def create(f, cutoff: int) -> FockOperator:
     """Creation operator a+(f): E_m -> sum_mu f_mu E_{m + e_mu}."""
     f = as_vector(f)
-    d = f.shape[0]
-    basis = basis_indices(d, cutoff)
-    pos = {m: i for i, m in enumerate(basis)}
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, m in enumerate(basis):
-        if sum(m) >= cutoff:
-            continue
-        for mu in range(d):
-            if f[mu] == 0:
-                continue
-            up = list(m)
-            up[mu] += 1
-            M[pos[tuple(up)], j] += f[mu]
-    return FockOperator(d, cutoff, M)
+    b = _basis(f.shape[0], cutoff)
+    return FockOperator(f.shape[0], cutoff, _lowering(b, f).T)
 
 
 def annihilate(f, cutoff: int) -> FockOperator:
@@ -401,41 +379,27 @@ def annihilate(f, cutoff: int) -> FockOperator:
     annihilate(f*).
     """
     f = as_vector(f)
-    d = f.shape[0]
-    basis = basis_indices(d, cutoff)
-    pos = {m: i for i, m in enumerate(basis)}
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, m in enumerate(basis):
-        for mu in range(d):
-            if m[mu] == 0 or f[mu] == 0:
-                continue
-            down = list(m)
-            down[mu] -= 1
-            M[pos[tuple(down)], j] += f[mu] * m[mu]
-    return FockOperator(d, cutoff, M)
+    b = _basis(f.shape[0], cutoff)
+    return FockOperator(f.shape[0], cutoff, _lowering(b, f * b.idx))
 
 
 def gamma(B, cutoff: int) -> FockOperator:
-    """Second quantization: Gamma(B) E_m = prod_mu (B e_mu)^{v m_mu}."""
+    """Second quantization: Gamma(B) E_m = prod_mu (B e_mu)^{v m_mu}.
+
+    Degree by degree, the column of m = p + e_mu is (B e_mu) v (column of
+    p); its entry r gathers sum_nu B[nu, mu] (column of p)[r - e_nu].
+    """
     B = as_matrix(B)
     d = B.shape[0]
-    basis = basis_indices(d, cutoff)
-    deg = _degree_grid(d, cutoff)
-    cols = []
-    for m in basis:
-        acc = vacuum_tensor(d, cutoff).coeffs
-        for mu in range(d):
-            col = np.zeros((cutoff + 1,) * d, dtype=complex)
-            for nu in range(d):
-                e = [0] * d
-                e[nu] = 1
-                col[tuple(e)] = B[nu, mu]
-            for _ in range(m[mu]):
-                acc = _shift_add(col, acc, cutoff, deg)
-        cols.append(acc)
-    idx = np.array(basis)
-    M = np.stack([c[tuple(idx.T)] for c in cols], axis=1)
-    return FockOperator(d, cutoff, M)
+    b = _basis(d, cutoff)
+    M = np.zeros((b.size + 1, b.size), dtype=complex)   # last row: the pad
+    M[0, 0] = 1.0
+    for n in range(1, cutoff + 1):
+        rows = np.arange(b.start[n], b.start[n + 1])
+        mu, p = b.axis[rows], b.parent[rows]
+        M[rows[:, None], rows] = sum(
+            B[nu, mu] * M[b.down[rows, nu][:, None], p] for nu in range(d))
+    return FockOperator(d, cutoff, M[:-1])
 
 
 def weyl(h, cutoff: int) -> FockOperator:
@@ -454,26 +418,36 @@ def alpha_norm(F: FockTensor, alpha: float) -> float:
     return float(np.linalg.norm(scale * dn))
 
 
-def _closed_form_norm(Z: np.ndarray, f: np.ndarray) -> float:
-    """||Phi(Z, f)|| from determinants; used only to pick cutoffs.
+def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
+    """log g and log(amp C(g)) over the admissible grid of g, where
+    C(g) = (1 - g^2)^{-1/2} ||Phi(Z/g^2, f/g)||.
 
-    Kept local so the oracle's measured quantities stay independent of the
-    closed-form layer; an error here would shrink or inflate cutoffs and make
-    comparisons fail loudly, never agree silently.
+    The norm is evaluated for the whole grid at once from one SVD
+    Z = U diag(s) W^+: with a = U^+ f, w = ((a s) W^T U) a and t = s/g^2,
+    log ||Phi(Z/g^2, f/g)||^2 = sum_j -log(1 - t_j^2)/2
+    + (|a_j|^2 / g^2 + Re w_j / g^4) / (1 - t_j^2). It is kept local so the
+    oracle stays independent of the closed-form layer; an error here would
+    shrink or inflate cutoffs and make comparisons fail loudly, never agree
+    silently. The vacuum has no tail, so its profile is -inf.
     """
-    d = Z.shape[0]
-    eye = np.eye(d)
-    Zad = np.conj(Z).T
-    Mi = np.linalg.inv(eye - Zad @ Z)
-    Gi = np.linalg.inv(eye - Z @ Zad)
-    fs = np.conj(f)
-    val = (-0.5 * np.sum(np.log(np.linalg.eigvalsh(eye - Zad @ Z)))
-           + 0.5 * (fs @ (Z @ Mi @ fs)).real
-           + np.vdot(f, Gi @ f).real
-           + 0.5 * (f @ (Zad @ Gi @ f)).real)
-    if val > 1400.0:
-        return np.inf
-    return float(np.exp(0.5 * val))
+    Z, f = x.Z.Z, x.f
+    U, s, Wh = np.linalg.svd(Z)
+    lo = np.sqrt(s[0]) + 1e-4 if s[0] > 0 else 1e-4
+    g = np.linspace(lo, 1.0 - 1e-4, 96)
+    g = g[(g * g > s[0]) & (g < 1.0)]
+    if not g.size:
+        raise NotInDiscError(
+            f"no valid scaling parameter for ||Z|| = {s[0]:.6f}", s[0])
+    if not np.any(Z) and not np.any(f):
+        return np.log(g), np.full(g.shape, -np.inf)
+    a = np.conj(U).T @ f
+    w = ((a * s) @ (np.conj(Wh) @ U)) * a
+    k = 1.0 / (g * g)[:, None]
+    q = 1.0 - (s * k) ** 2
+    log_norm_sq = np.sum(
+        -0.5 * np.log(q) + (np.abs(a) ** 2 * k + (w * k * k).real) / q, axis=1)
+    return np.log(g), (x.log_amp.real - 0.5 * np.log1p(-g * g)
+                       + 0.5 * log_norm_sq)
 
 
 def tail_bound(x: UltracoherentState, cutoff: int) -> float:
@@ -485,22 +459,31 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     for any g in (sqrt||Z||, 1); the bound is minimized over a grid of g.
     Zero for the vacuum.
     """
-    Z = x.Z.Z
-    f = x.f
-    s = operator_norm(Z)
-    amp = float(np.exp(x.log_amp.real))
-    if s == 0.0 and not np.any(f):
-        return 0.0
-    lo = np.sqrt(s) + 1e-4 if s > 0 else 1e-4
-    best = np.inf
-    for g in np.linspace(lo, 1.0 - 1e-4, 96):
-        if g * g <= s or g >= 1.0:
-            continue
-        val = (g ** (cutoff + 1) / np.sqrt(1.0 - g * g)
-               * _closed_form_norm(Z / (g * g), f / g))
-        if val < best:
-            best = val
-    if not np.isfinite(best):
-        raise NotInDiscError(
-            f"no valid scaling parameter for ||Z|| = {s:.6f}", s)
-    return amp * float(best)
+    log_g, log_c = _bound_profile(x)
+    best = float(np.min((cutoff + 1) * log_g + log_c))
+    if best > np.log(np.finfo(float).max):
+        raise GaussFockError(f"tail bound exp({best:.1f}) overflows float64")
+    return math.exp(best)
+
+
+def cutoff_for(x: UltracoherentState, budget: float) -> int:
+    """Least cutoff N with tail_bound(x, N) <= budget.
+
+    Since the bound is min_g g^{N+1} C(g), the least N is
+    min_g ceil(log(budget / C(g)) / log g) - 1, confirmed by one call to
+    tail_bound. Raises GaussFockError when no cutoff up to MAX_CUTOFF meets
+    the budget.
+    """
+    if not budget > 0:
+        raise GaussFockError(f"tail budget must be positive, got {budget}")
+    log_g, log_c = _bound_profile(x)
+    need = np.clip(np.min((math.log(budget) - log_c) / log_g),
+                   0.0, MAX_CUTOFF + 1.0)
+    N = max(0, math.ceil(need) - 1)
+    if tail_bound(x, N) > budget:   # the two evaluations round differently
+        N += 1
+    if N > MAX_CUTOFF:
+        raise GaussFockError(
+            f"no cutoff up to {MAX_CUTOFF} brings the tail bound below "
+            f"{budget:g}")
+    return N

@@ -25,7 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalInconsistencyError
+from .errors import (
+    DimensionMismatchError,
+    GaussFockError,
+    InternalInconsistencyError,
+)
 from .linalg import (
     as_matrix,
     as_vector,
@@ -162,6 +166,9 @@ def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
             + 0.5 * bilinear_pairing(fs, ker.C @ fs)
             + bilinear_pairing(fs, ker.cross_op @ g)
             + 0.5 * bilinear_pairing(g, ker.D @ g))
+    if expo.real > np.log(np.finfo(float).max):
+        raise GaussFockError(
+            f"overlap exp({expo.real:.1f}) overflows float64")
     return complex(np.exp(expo))
 
 

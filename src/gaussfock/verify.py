@@ -279,10 +279,7 @@ def suite_oracle(rng: np.random.Generator, trials: int,
         zc, fc = ([0.6, 0.6, 0.45][d - 1], [1.0, 1.0, 0.9][d - 1])
         x = states.random_state(d, rng, zc, fc)
         y = states.random_state(d, rng, zc, fc)
-        N = 20
-        while N < 160 and (fock.tail_bound(x, N) > 1e-8
-                           or fock.tail_bound(y, N) > 1e-8):
-            N += 5
+        N = max(fock.cutoff_for(x, 1e-8), fock.cutoff_for(y, 1e-8))
         got = fock.inner(fock.represent_state(x, N),
                          fock.represent_state(y, N))
         want = states.overlap(x, y)

@@ -31,11 +31,7 @@ def report(label, value, bound, note=""):
 
 
 def pick_cutoff(x, y, budget=1e-8):
-    n = 20
-    while n < 200 and (fock.tail_bound(x, n) > budget
-                       or fock.tail_bound(y, n) > budget):
-        n += 5
-    return n
+    return max(fock.cutoff_for(x, budget), fock.cutoff_for(y, budget))
 
 
 class TestOverlapOracle:

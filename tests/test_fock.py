@@ -90,8 +90,8 @@ class TestSymmetricProduct:
         assert fock.tensor_residual(ab, ba) < 1e-13
 
     def test_single_axis_fast_path(self):
-        # a factor supported on one axis with many nonzeros takes the
-        # Toeplitz route; check it against the exponential identity
+        # a factor supported on one axis with many nonzeros; check the
+        # shift-add against the exponential identity
         d, N = 2, 70
         f = np.array([0.3 + 0.2j, -0.4 + 0.1j])
         g = np.array([0.25 - 0.15j, 0.0])
@@ -231,9 +231,7 @@ class TestRepresentState:
             d = int(rng.integers(1, 4))
             x = states.random_state(d, rng, max_z=0.5, max_f=0.8)
             y = states.random_state(d, rng, max_z=0.5, max_f=0.8)
-            N = 20
-            while fock.tail_bound(x, N) > 1e-9 or fock.tail_bound(y, N) > 1e-9:
-                N += 5
+            N = max(fock.cutoff_for(x, 1e-9), fock.cutoff_for(y, 1e-9))
             got = fock.inner(fock.represent_state(x, N),
                              fock.represent_state(y, N))
             want = states.overlap(x, y)

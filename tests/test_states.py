@@ -110,6 +110,14 @@ class TestOverlap:
         with pytest.raises(DimensionMismatchError):
             states.overlap(states.vacuum(2), states.vacuum(3))
 
+    def test_overflow_raises_instead_of_inf(self):
+        # |(x|x)| = exp(900) does not fit in float64
+        x = states.make_state(np.zeros((1, 1)), [30.0])
+        with pytest.raises(GaussFockError):
+            states.overlap(x, x)
+        with pytest.raises(GaussFockError):
+            states.norm(x)
+
 
 class TestBargmann:
     def test_exponential_kernel(self):
