@@ -3,8 +3,8 @@
 W(h) shifts the displacement vector of a Gaussian state in closed form. The
 composition of two displacements picks up the symplectic phase, and pushing a
 displacement through T(R) rotates its argument by the group element with no
-extra phase. The same relations hold for dense matrices on the truncated
-space, up to the truncation error of the matrix exponential.
+extra phase. The same relations hold on the truncated space for the
+exponential of the truncated ladder generator, up to its truncation error.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ r = sp.random_element(d, rng)
 print(f"T(R) W(h) = W(Rh) T(R):      residual "
       f"{rep.check_intertwining(r, f, x):.3e}")
 
-# the same on the truncated space, as honest matrices
+# the same on the truncated space, as exponentials of truncated matrices
 n = 28
 wf = fock.weyl(f, n)
 vac = fock.vacuum_tensor(d, n)

@@ -1,15 +1,23 @@
-"""The oracle's amplitude recurrence against exact rationals, and the
-least-cutoff search against the tail bound it inverts."""
+"""The oracle's amplitude recurrence against exact rationals, the
+least-cutoff search against the tail bound it inverts, and the two routes of
+the Weyl operator: its action from the sparse generator and its dense
+matrix."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import gaussfock
 from gaussfock import fock, states
 from gaussfock.errors import GaussFockError
+from gaussfock.linalg import involution
 
 
 def exact_amplitudes(z: Fraction, f: Fraction, cutoff: int) -> list[Fraction]:
@@ -83,3 +91,83 @@ def test_cutoff_for_raises_when_no_cutoff_suffices():
         fock.cutoff_for(x, 1e-12)
     with pytest.raises(GaussFockError):
         fock.cutoff_for(states.vacuum(1), 0.0)
+
+
+def _weyl_h(d, rng):
+    return 0.6 / np.sqrt(d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+
+
+@pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 7), (3, 5)])
+def test_weyl_generator_and_matrix_match_dense_route(d, N):
+    rng = np.random.default_rng(17 + d)
+    for h in (_weyl_h(d, rng), np.array([0.0, 0.4, -0.2j][:d]), np.zeros(d)):
+        dense = (fock.create(h, N).matrix
+                 - fock.annihilate(involution(h), N).matrix)
+        w = fock.weyl(h, N)
+        assert np.array_equal(w._generator.toarray(), dense)
+        assert w.matrix.tobytes() == scipy.linalg.expm(dense).tobytes()
+
+
+@pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11)])
+def test_weyl_action_matches_its_matrix(d, N):
+    rng = np.random.default_rng(29 + d)
+    h = _weyl_h(d, rng)
+    w = fock.weyl(h, N)
+    for F in (fock.vacuum_tensor(d, N),
+              fock.represent_state(states.coherent(_weyl_h(d, rng)), N)):
+        dense = fock.apply_operator(fock.FockOperator(d, N, w.matrix), F)
+        assert fock.tensor_residual(fock.apply_operator(w, F), dense) <= 1e-12
+
+
+def test_positional_operator_applies_its_matrix():
+    rng = np.random.default_rng(3)
+    d, N = 2, 4
+    B = len(fock.basis_indices(d, N))
+    m = rng.normal(size=(B, B)) + 1j * rng.normal(size=(B, B))
+    op = fock.FockOperator(d, N, m)
+    assert op.matrix is m
+    F = fock.represent_state(states.random_state(d, rng), N)
+    got = fock.apply_operator(op, F)
+    want = m @ np.array([F.coeffs[i] for i in fock.basis_indices(d, N)])
+    assert np.allclose([got.coeffs[i] for i in fock.basis_indices(d, N)],
+                       want, rtol=0, atol=1e-13)
+
+
+def test_dense_operators_refuse_sizes_beyond_the_guard():
+    # (2, 94) has B = 4560 basis states, B^2 just above MAX_GRID_ENTRIES
+    d, N = 2, 94
+    assert len(fock.basis_indices(d, N)) ** 2 > fock.MAX_GRID_ENTRIES
+    assert len(fock.basis_indices(d, N - 1)) ** 2 <= fock.MAX_GRID_ENTRIES
+    h = np.array([0.3, 0.2j])
+    for build in (lambda: fock.create(h, N), lambda: fock.annihilate(h, N),
+                  lambda: fock.gamma(np.eye(d), N),
+                  lambda: fock.weyl(h, N).matrix):
+        with pytest.raises(GaussFockError):
+            build()
+    out = fock.apply_operator(fock.weyl(h, N), fock.vacuum_tensor(d, N))
+    want = np.exp(-0.5 * np.vdot(h, h).real) * fock.exp_vector(h, N).coeffs
+    low = tuple(np.array([m for m in fock.basis_indices(d, N)
+                          if sum(m) <= N // 3]).T)
+    assert np.max(np.abs(out.coeffs[low] - want[low])) <= 1e-12
+
+
+_IMPORT_PROBE = """
+import sys
+import gaussfock, gaussfock.cli
+from gaussfock import circuits, fock
+circuits.run(circuits.parse("S(0, 0.5, 0.0)\\nD(1, 0.3, 0.1)"), 2)
+print("scipy.sparse.linalg" in sys.modules)
+fock.apply_operator(fock.weyl([0.3], 8), fock.vacuum_tensor(1, 8))
+print("scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_sparse_scipy_loads_only_on_the_weyl_path():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussfock.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
