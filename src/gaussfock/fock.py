@@ -2,23 +2,25 @@
 
 Everything here is computed from first principles on a truncated
 occupation-number basis, independently of the closed-form layer, so the two
-can cross-check each other. A FockTensor stores the coefficients c_m of
-sum_m c_m E_m where E_m = e_1^{m_1} v ... v e_d^{m_d} and
-||E_m||^2 = m! = prod(m_mu!); the grid has shape (cutoff+1,)^dim and entries
-of total degree beyond the cutoff are identically zero. A FockOperator acts
-on the flat basis of basis_indices, ordered by degree: it is a dense matrix,
-or, for the displacement W(h) of weyl, the exponential of a sparse ladder
-generator, applied to vectors with expm_multiply (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 2011) and made dense only when its matrix is read.
+can cross-check each other. Tensors and operators share one layout, the flat
+basis of basis_indices: the multi-indices m of total degree at most the
+cutoff, ordered by (degree, lexicographic). A FockTensor stores the
+coefficients c_m of sum_m c_m E_m, where E_m = e_1^{m_1} v ... v e_d^{m_d}
+and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
+(cutoff+1,)^dim grid is only its exchange format: the constructor takes it,
+and .coeffs builds it on first read. A FockOperator acts on the same
+vectors: it is a dense matrix, or, for the displacement W(h) of weyl, the
+exponential of a sparse ladder generator, applied to vectors with
+expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) and made
+dense only when its matrix is read.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
 (Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
-basis and scattered into the grid once; Gamma(B) builds each column from the
-column of its parent m - e_mu the same way. General products are exact
-convolutions, a shift-add over the nonzeros of the sparser factor: FFT noise
-of ~1e-16 in high-degree entries, under m! weights up to ~1e150, would swamp
-the inner products.
+basis; Gamma(B) builds each column from the column of its parent m - e_mu
+the same way. General products are exact convolutions, a shift-add over the
+nonzeros of the sparser factor: FFT noise of ~1e-16 in high-degree entries,
+under m! weights up to ~1e150, would swamp the inner products.
 """
 
 from __future__ import annotations
@@ -69,13 +71,49 @@ MAX_GRID_ENTRIES = 20_000_000
 MAX_CUTOFF = 170          # 171! overflows float64 basis weights
 
 
-@dataclass(frozen=True, eq=False)
 class FockTensor:
-    """Coefficients of a truncated symmetric-Fock vector on the dense grid."""
+    """Coefficients of a truncated symmetric-Fock vector.
 
-    dim: int
-    cutoff: int
-    coeffs: np.ndarray
+    vector holds them in basis_indices order, read-only. FockTensor(dim,
+    cutoff, coeffs) takes the dense grid of shape (cutoff+1,)^dim and keeps
+    its entries of total degree up to the cutoff (make_tensor also checks
+    that the others vanish). .coeffs is that grid, built on first read and
+    kept, read-only.
+    """
+
+    def __init__(self, dim: int, cutoff: int, coeffs):
+        b = _basis(dim, cutoff)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (cutoff + 1,) * dim:
+            raise DimensionMismatchError(
+                f"expected coefficient grid of shape {(cutoff + 1,) * dim}, "
+                f"got {coeffs.shape}")
+        self._init(dim, cutoff, coeffs.reshape(-1)[b.key])
+
+    @classmethod
+    def _of(cls, dim: int, cutoff: int, vector: np.ndarray) -> FockTensor:
+        F = cls.__new__(cls)
+        F._init(dim, cutoff, np.asarray(vector, dtype=complex))
+        return F
+
+    def _init(self, dim: int, cutoff: int, vector: np.ndarray) -> None:
+        vector.flags.writeable = False
+        self.dim, self.cutoff, self.vector, self._coeffs = (
+            dim, cutoff, vector, None)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            shape = (self.cutoff + 1,) * self.dim
+            if math.prod(shape) > MAX_GRID_ENTRIES:
+                raise GaussFockError(
+                    f"grid of shape ({self.cutoff + 1},)^{self.dim} exceeds "
+                    "the size guard")
+            c = np.zeros(shape, dtype=complex)
+            c.flat[_basis(self.dim, self.cutoff).key] = self.vector
+            c.flags.writeable = False
+            self._coeffs = c
+        return self._coeffs
 
 
 class FockOperator:
@@ -116,9 +154,11 @@ def _check_size(dim: int, cutoff: int) -> None:
         raise GaussFockError(
             f"cutoff {cutoff} exceeds {MAX_CUTOFF}, the largest degree whose "
             "factorial weight fits in float64")
-    if (cutoff + 1) ** dim > MAX_GRID_ENTRIES:
-        raise GaussFockError(
-            f"grid of shape ({cutoff + 1},)^{dim} exceeds the size guard")
+    # the basis table holds dim entries per state; grid keys are int64
+    if (math.comb(cutoff + dim, dim) * dim > MAX_GRID_ENTRIES
+            or (cutoff + 1) ** dim > np.iinfo(np.int64).max):
+        raise GaussFockError(f"flat basis of dimension {dim} and cutoff "
+                             f"{cutoff} exceeds the size guard")
 
 
 def _check_dense(size: int) -> None:
@@ -127,30 +167,9 @@ def _check_dense(size: int) -> None:
             f"dense operator of shape ({size}, {size}) exceeds the size guard")
 
 
-@lru_cache(maxsize=32)
-def _degree_grid(dim: int, cutoff: int) -> np.ndarray:
-    deg = np.indices((cutoff + 1,) * dim).sum(axis=0)
-    deg.flags.writeable = False
-    return deg
-
-
-@lru_cache(maxsize=32)
-def _weight_grid(dim: int, cutoff: int) -> np.ndarray:
-    """prod(m_mu!) on the grid, as float64 (exact to ~1e-14 up to 170!).
-
-    Grid corners beyond the total-degree cutoff would overflow float64 at
-    large cutoffs; they carry zero coefficients by invariant, so their
-    weights are set to zero instead.
-    """
-    fac = np.cumprod(np.concatenate([[1.0], np.arange(1.0, cutoff + 1)]))
-    W = fac
-    with np.errstate(over="ignore"):
-        for _ in range(dim - 1):
-            W = np.multiply.outer(W, fac)
-    W = np.ascontiguousarray(W)
-    W[_degree_grid(dim, cutoff) > cutoff] = 0.0
-    W.flags.writeable = False
-    return W
+def _factorials(cutoff: int) -> np.ndarray:
+    """k! for k = 0..cutoff, as float64 (exact to ~1e-14 up to 170!)."""
+    return np.cumprod(np.concatenate([[1.0], np.arange(1.0, cutoff + 1)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +178,11 @@ class _Basis:
 
     idx[i] is the i-th multi-index, ordered by (total degree, lexicographic),
     key[i] its position in the flattened grid, and positions
-    start[n]:start[n+1] hold degree n. down[i, mu] is the position of
-    idx[i] - e_mu, or size when idx[i, mu] = 0; callers pad their arrays with
-    a zero there. parent[i] = down[i, axis[i]] for the first axis with
-    idx[i, axis] > 0: the edge along which the recurrences build entry i.
+    start[n]:start[n+1] hold degree n. weight[i] is idx[i]! and order sorts
+    key. down[i, mu] is the position of idx[i] - e_mu, or size when
+    idx[i, mu] = 0; callers pad their arrays with a zero there. parent[i] =
+    down[i, axis[i]] for the first axis with idx[i, axis] > 0: the edge along
+    which the recurrences build entry i.
     """
 
     idx: np.ndarray
@@ -171,6 +191,8 @@ class _Basis:
     start: np.ndarray
     axis: np.ndarray
     parent: np.ndarray
+    weight: np.ndarray
+    order: np.ndarray
     size: int
 
 
@@ -178,7 +200,7 @@ class _Basis:
 def _basis(dim: int, cutoff: int) -> _Basis:
     _check_size(dim, cutoff)
     # grid keys in base cutoff+1 sort like the multi-indices they encode
-    strides = (cutoff + 1) ** np.arange(dim - 1, -1, -1)
+    strides = (cutoff + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     levels = [np.zeros(1, dtype=np.int64)]
     raises = []
     for _ in range(cutoff):
@@ -187,9 +209,8 @@ def _basis(dim: int, cutoff: int) -> _Basis:
         levels.append(level)
         raises.append(inverse.reshape(-1, dim))
     start = np.cumsum([0] + [len(level) for level in levels])
-    key = np.concatenate(levels).astype(np.int32)
-    idx = np.stack(np.unravel_index(key, (cutoff + 1,) * dim), axis=1,
-                   dtype=np.int32)
+    key = np.concatenate(levels)
+    idx = (key[:, None] // strides % (cutoff + 1)).astype(np.int32)
     size = len(key)
     down = np.full((size, dim), size, dtype=np.int32)
     for n, inverse in enumerate(raises):
@@ -197,9 +218,11 @@ def _basis(dim: int, cutoff: int) -> _Basis:
             start[n], start[n + 1])[:, None]
     axis = np.argmax(idx > 0, axis=1)
     parent = down[np.arange(size), axis]
-    for arr in (idx, key, down, start, axis, parent):
+    weight = np.prod(_factorials(cutoff)[idx], axis=1)
+    order = np.argsort(key)
+    for arr in (idx, key, down, start, axis, parent, weight, order):
         arr.flags.writeable = False
-    return _Basis(idx, key, down, start, axis, parent, size)
+    return _Basis(idx, key, down, start, axis, parent, weight, order, size)
 
 
 @lru_cache(maxsize=32)
@@ -210,106 +233,81 @@ def basis_indices(dim: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
 
 def make_tensor(dim: int, cutoff: int, coeffs) -> FockTensor:
     """Validate shape and the vanishing of entries beyond the cutoff."""
-    _check_size(dim, cutoff)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (cutoff + 1,) * dim:
-        raise DimensionMismatchError(
-            f"expected coefficient grid of shape {(cutoff + 1,) * dim}, "
-            f"got {coeffs.shape}")
-    bad = coeffs[_degree_grid(dim, cutoff) > cutoff]
-    if bad.size and np.max(np.abs(bad)) > 0.0:
+    F = FockTensor(dim, cutoff, coeffs)
+    if np.count_nonzero(coeffs) > np.count_nonzero(F.vector):
         raise GaussFockError(
             "coefficients with total degree beyond the cutoff must vanish")
-    coeffs = coeffs.copy()
-    coeffs.flags.writeable = False
-    return FockTensor(dim, cutoff, coeffs)
+    return F
 
 
 def vacuum_tensor(dim: int, cutoff: int) -> FockTensor:
-    _check_size(dim, cutoff)
-    c = np.zeros((cutoff + 1,) * dim, dtype=complex)
-    c[(0,) * dim] = 1.0
-    return FockTensor(dim, cutoff, c)
+    c = np.zeros(_basis(dim, cutoff).size, dtype=complex)
+    c[0] = 1.0
+    return FockTensor._of(dim, cutoff, c)
 
 
-def _common(F: FockTensor, G: FockTensor) -> tuple[int, int]:
+def _common(F: FockTensor, G: FockTensor) -> _Basis:
     if F.dim != G.dim or F.cutoff != G.cutoff:
         raise DimensionMismatchError(
             "tensors must share dimension and cutoff")
-    return F.dim, F.cutoff
-
-
-def _shift_add(A: np.ndarray, B: np.ndarray, cutoff: int,
-               deg: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(B)
-    for m in np.argwhere(A):
-        c = A[tuple(m)]
-        src = tuple(slice(0, cutoff + 1 - k) for k in m)
-        dst = tuple(slice(k, cutoff + 1) for k in m)
-        out[dst] += c * B[src]
-    out[deg > cutoff] = 0.0
-    return out
+    return _basis(F.dim, F.cutoff)
 
 
 def symmetric_product(F: FockTensor, G: FockTensor) -> FockTensor:
     """F v G: plain coefficient convolution truncated at the cutoff.
 
-    E_m v E_n = E_{m+n}, so the product of coefficient arrays is their
+    E_m v E_n = E_{m+n}, so the product of coefficient vectors is their
     discrete convolution, summed exactly as a shift-add over the nonzeros of
-    the sparser factor.
+    the sparser factor. The entries n of degree up to cutoff - |m| land on
+    m + n, found by its grid key key(m) + key(n): no digit of m + n exceeds
+    the cutoff, so the base-(cutoff+1) addition carries nothing.
     """
-    d, N = _common(F, G)
-    A, B = F.coeffs, G.coeffs
-    if np.count_nonzero(A) > np.count_nonzero(B):
-        A, B = B, A
-    return FockTensor(d, N, _shift_add(A, B, N, _degree_grid(d, N)))
+    b = _common(F, G)
+    a, c = F.vector, G.vector
+    if np.count_nonzero(a) > np.count_nonzero(c):
+        a, c = c, a
+    out = np.zeros(b.size, dtype=complex)
+    nz = np.flatnonzero(a)
+    for i, n in zip(nz, np.searchsorted(b.start, nz, side="right") - 1):
+        src = slice(0, b.start[F.cutoff - n + 1])
+        dst = b.order[np.searchsorted(b.key, b.key[i] + b.key[src],
+                                      sorter=b.order)]
+        out[dst] += a[i] * c[src]
+    return FockTensor._of(F.dim, F.cutoff, out)
 
 
 def inner(F: FockTensor, G: FockTensor) -> complex:
     """(F|G) = sum_m m! conj(c_m) d_m, conjugate-linear in F."""
-    d, N = _common(F, G)
-    W = _weight_grid(d, N)
-    return complex(np.sum(W * np.conj(F.coeffs) * G.coeffs))
+    b = _common(F, G)
+    return complex(np.sum(b.weight * np.conj(F.vector) * G.vector))
 
 
 def tensor_norm(F: FockTensor) -> float:
-    W = _weight_grid(F.dim, F.cutoff)
-    return float(np.sqrt(np.sum(W * np.abs(F.coeffs) ** 2)))
+    W = _basis(F.dim, F.cutoff).weight
+    return float(np.sqrt(np.sum(W * np.abs(F.vector) ** 2)))
 
 
 def degree_norms(F: FockTensor) -> np.ndarray:
     """Fock norms of the homogeneous components, indexed by degree."""
-    deg = _degree_grid(F.dim, F.cutoff)
-    W = _weight_grid(F.dim, F.cutoff)
-    mass = W * np.abs(F.coeffs) ** 2
-    # grid corners reach degree dim*cutoff; those entries are zero by invariant
-    out = np.zeros(F.dim * F.cutoff + 1)
-    np.add.at(out, deg.ravel(), mass.ravel())
-    return np.sqrt(out[:F.cutoff + 1])
+    b = _basis(F.dim, F.cutoff)
+    return np.sqrt(np.add.reduceat(b.weight * np.abs(F.vector) ** 2,
+                                   b.start[:-1]))
 
 
 def tensor_residual(F: FockTensor, G: FockTensor) -> float:
     """Fock norm of the difference."""
-    d, N = _common(F, G)
-    W = _weight_grid(d, N)
-    return float(np.sqrt(np.sum(W * np.abs(F.coeffs - G.coeffs) ** 2)))
+    b = _common(F, G)
+    return float(np.sqrt(np.sum(b.weight * np.abs(F.vector - G.vector) ** 2)))
 
 
 def exp_vector(f, cutoff: int) -> FockTensor:
     """exp f = sum_n f^{vn}/n!, coefficients prod f_mu^{m_mu}/m_mu!."""
     f = as_vector(f)
     d = f.shape[0]
-    _check_size(d, cutoff)
-    pows = np.arange(cutoff + 1)
-    fac = np.cumprod(np.concatenate([[1.0], np.arange(1.0, cutoff + 1)]))
-    out = None
-    for z in f:
-        line = np.power(z, pows) / fac
-        out = line if out is None else np.multiply.outer(out, line)
-    out = np.asarray(out, dtype=complex)
-    deg = _degree_grid(d, cutoff)
-    out[deg > cutoff] = 0.0
-    return FockTensor(d, cutoff, out)
+    b = _basis(d, cutoff)
+    lines = np.power(f[:, None], np.arange(cutoff + 1)) / _factorials(cutoff)
+    return FockTensor._of(d, cutoff, np.prod(lines[np.arange(d), b.idx],
+                                             axis=1))
 
 
 def _check_symmetric(A: np.ndarray) -> None:
@@ -321,17 +319,14 @@ def omega_tensor(A, cutoff: int) -> FockTensor:
     """Omega(A) = 1/2 sum_{mu,nu} A_{mu,nu} e_mu v e_nu for symmetric A."""
     A = as_matrix(A)
     d = A.shape[0]
-    _check_size(d, cutoff)
+    b = _basis(d, cutoff)
     _check_symmetric(A)
-    out = np.zeros((cutoff + 1,) * d, dtype=complex)
+    out = np.zeros(b.size, dtype=complex)
     if cutoff >= 2:
-        for mu in range(d):
-            for nu in range(mu, d):
-                m = [0] * d
-                m[mu] += 1
-                m[nu] += 1
-                out[tuple(m)] = A[mu, nu] if mu != nu else 0.5 * A[mu, mu]
-    return FockTensor(d, cutoff, out)
+        rows = np.arange(b.start[2], b.start[3])   # e_mu + e_nu, mu <= nu
+        mu, nu = b.axis[rows], b.axis[b.parent[rows]]
+        out[rows] = np.where(mu == nu, 0.5, 1.0) * A[mu, nu]
+    return FockTensor._of(d, cutoff, out)
 
 
 def _gaussian(A: np.ndarray, f: np.ndarray, c0: complex,
@@ -347,7 +342,7 @@ def _gaussian(A: np.ndarray, f: np.ndarray, c0: complex,
         mu, p = b.axis[rows], b.parent[rows]
         c[rows] = ((f[mu] * c[p] + np.sum(A[mu] * c[b.down[p]], axis=1))
                    / b.idx[rows, mu])
-    return _unflatten(d, cutoff, c[:-1])
+    return FockTensor._of(d, cutoff, c[:-1])
 
 
 def exp_omega(A, cutoff: int) -> FockTensor:
@@ -369,26 +364,23 @@ def represent_state(x: UltracoherentState, cutoff: int) -> FockTensor:
     return _gaussian(x.Z.Z, x.f, np.exp(x.log_amp), cutoff)
 
 
-def _flatten(F: FockTensor) -> np.ndarray:
-    return F.coeffs.reshape(-1)[_basis(F.dim, F.cutoff).key]
-
-
-def _unflatten(dim: int, cutoff: int, vec: np.ndarray) -> FockTensor:
-    c = np.zeros((cutoff + 1) ** dim, dtype=complex)
-    c[_basis(dim, cutoff).key] = vec
-    return FockTensor(dim, cutoff, c.reshape((cutoff + 1,) * dim))
-
-
 def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
             "operator and tensor must share dimension and cutoff")
     if op._generator is None:
-        return _unflatten(F.dim, F.cutoff, op.matrix @ _flatten(F))
+        return FockTensor._of(F.dim, F.cutoff, op.matrix @ F.vector)
     # imported here, like scipy.sparse in weyl: see the note there
     from scipy.sparse.linalg import expm_multiply
-    return _unflatten(F.dim, F.cutoff,
-                      expm_multiply(op._generator, _flatten(F)))
+    # once the generator's 1-norm exceeds about 63, expm_multiply estimates
+    # norms with onenormest, which draws from numpy's global RNG; the
+    # caller's random stream is put back as it was
+    rng_state = np.random.get_state()
+    try:
+        out = expm_multiply(op._generator, F.vector)
+    finally:
+        np.random.set_state(rng_state)
+    return FockTensor._of(F.dim, F.cutoff, out)
 
 
 def _operator_basis(dim: int, cutoff: int) -> _Basis:

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GaussFockError
-from .fock import FockTensor, make_tensor
+from .fock import FockTensor, basis_indices, make_tensor
 from .siegel import SiegelPoint, make_point
 from .states import UltracoherentState, make_state
 from .symplectic import SymplecticElement, make_symplectic
@@ -130,10 +130,10 @@ def decode_state(obj: Any) -> UltracoherentState:
 
 def encode_tensor(F: FockTensor, threshold: float = 0.0) -> dict:
     """Sparse entry dump; entries with |c| <= threshold are omitted."""
-    entries = []
-    for m in np.argwhere(np.abs(F.coeffs) > threshold):
-        entries.append([[int(k) for k in m],
-                        encode_complex(F.coeffs[tuple(m)])])
+    idx = basis_indices(F.dim, F.cutoff)
+    kept = sorted(np.flatnonzero(np.abs(F.vector) > threshold),
+                  key=idx.__getitem__)     # lexicographic, as in the grid
+    entries = [[list(idx[i]), encode_complex(F.vector[i])] for i in kept]
     return {"dim": F.dim, "cutoff": F.cutoff, "entries": entries}
 
 

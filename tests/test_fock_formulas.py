@@ -1,7 +1,7 @@
 """The oracle's amplitude recurrence against exact rationals, the
-least-cutoff search against the tail bound it inverts, and the two routes of
-the Weyl operator: its action from the sparse generator and its dense
-matrix."""
+least-cutoff search against the tail bound it inverts, the two routes of
+the Weyl operator (its action from the sparse generator and its dense
+matrix), and the flat tensor layout with its grid exchange format."""
 
 import os
 import subprocess
@@ -171,3 +171,80 @@ def test_sparse_scipy_loads_only_on_the_weyl_path():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("d, N, h", [
+    (1, 170, np.array([1.0])),
+    (2, 94, 0.707 * np.exp(0.3j) * np.ones(2)),
+])
+def test_weyl_action_leaves_the_global_rng_alone(d, N, h):
+    # the generator's 1-norm is above 63 here, where expm_multiply starts to
+    # estimate norms with onenormest, which draws from np.random
+    before = np.random.get_state()
+    fock.apply_operator(fock.weyl(h, N), fock.vacuum_tensor(d, N))
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_master_overlap_comparison_beyond_three_modes(d):
+    # at d = 5 the cutoffs are 23 and 34; a (35,)^5 grid, 53M entries, is
+    # beyond the size guard
+    rng = np.random.default_rng(4541 + d)
+    for _ in range(2):
+        x, y = (states.random_state(d, rng, max_z=0.3, max_f=0.6)
+                for _ in range(2))
+        N = max(fock.cutoff_for(x, 1e-9), fock.cutoff_for(y, 1e-9))
+        got = fock.inner(fock.represent_state(x, N),
+                         fock.represent_state(y, N))
+        want = states.overlap(x, y)
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+
+def test_grid_exchange_round_trip():
+    rng = np.random.default_rng(12)
+    d, N = 3, 8
+    F = fock.represent_state(states.random_state(d, rng), N)
+    grid = F.coeffs
+    assert grid is F.coeffs
+    assert np.array_equal([grid[m] for m in fock.basis_indices(d, N)],
+                          F.vector)
+    assert np.count_nonzero(grid) == np.count_nonzero(F.vector)
+    assert np.array_equal(fock.FockTensor(d, N, grid).vector, F.vector)
+
+
+def test_tensor_arrays_are_read_only():
+    F = fock.exp_vector([0.3, 0.2j], 5)
+    with pytest.raises(ValueError):
+        F.coeffs[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        F.vector[0] = 2.0
+
+
+def test_grid_refused_where_the_flat_basis_works():
+    d, N = 5, 40
+    assert (N + 1) ** d > fock.MAX_GRID_ENTRIES
+    vac = fock.vacuum_tensor(d, N)
+    assert fock.inner(vac, vac) == 1.0
+    with pytest.raises(GaussFockError):
+        vac.coeffs
+
+
+@pytest.mark.parametrize("d, N", [
+    (9, 20),    # 90M basis-table entries
+    (1, 200),   # beyond MAX_CUTOFF
+    (63, 1),    # grid keys 2^63 overflow int64
+])
+def test_size_guard_bounds_the_flat_basis(d, N):
+    with pytest.raises(GaussFockError):
+        fock.vacuum_tensor(d, N)
+
+
+def test_many_modes_at_a_low_cutoff():
+    # 2^62 grid entries, but 63 basis states
+    vac = fock.vacuum_tensor(62, 1)
+    F = fock.exp_vector(np.full(62, 0.1), 1)
+    assert len(F.vector) == 63
+    assert fock.inner(vac, F) == 1.0
+    assert fock.tensor_norm(F) ** 2 == pytest.approx(1.0 + 62 * 0.01)
