@@ -34,7 +34,7 @@ from .errors import (
 )
 from .representation import act, multiplier
 from .serialization import decode_symplectic, load_json
-from .states import UltracoherentState, scaled, vacuum, weyl_apply
+from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
     SymplecticElement,
     apply,
@@ -269,7 +269,7 @@ def run(gates: list[Gate], dim: int, base_dir: str = ".") -> UltracoherentState:
     """State produced by the circuit on the vacuum, via the normal form."""
     cc = compile_circuit(gates, dim, base_dir)
     out = weyl_apply(cc.displacement, act(cc.element, vacuum(dim)))
-    return UltracoherentState(out.Z, out.f, out.log_amp + cc.log_phase)
+    return make_state(out.Z, out.f, out.log_amp + cc.log_phase)
 
 
 def run_sequential(gates: list[Gate], dim: int,

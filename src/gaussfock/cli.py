@@ -21,11 +21,10 @@ from .errors import GaussFockError
 from .linalg import takagi
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numerical tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="random seed (default 42)")
+def _common_flags(p: argparse.ArgumentParser, tol: bool = True) -> None:
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="numerical tolerance (default 1e-9)")
     p.add_argument("--format", choices=("json", "text"), default=None,
                    help="output format (default json; verify defaults to text)")
 
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=None,
                    help="oracle cutoff (default: chosen so the tail bound "
                         "is at most 1e-8)")
-    _common_flags(p)
+    _common_flags(p, tol=False)
 
     p = sub.add_parser("apply", help="apply a symplectic element to a state")
     p.add_argument("--symplectic", required=True, metavar="R.json")
@@ -64,13 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal-form", action="store_true",
                    help="print the compiled displacement/element/phase "
                         "instead of the output state")
-    _common_flags(p)
+    _common_flags(p, tol=False)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", action="append", default=None,
                    choices=["all"] + sorted(ver.SUITES),
                    help="suite name, repeatable (default all)")
     p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--seed", type=int, default=42,
+                   help="random seed (default 42)")
     _common_flags(p)
 
     p = sub.add_parser("takagi",

@@ -8,9 +8,9 @@ are tied together by involution(A f) = mat_conj(A) involution(f).
 
 Determinant branch rule: every half-integer power of a determinant in this
 package is evaluated as exp of a linear combination of principal logarithms of
-eigenvalues (see log_sqrt_det_inv and eig_log_det). All matrices fed to these
-routines have spectra in the open right half plane, so the rule is continuous
-exactly where the closed-form identities need it to be.
+eigenvalues (see eig_log_det). All matrices fed to it have spectra in the
+open right half plane, so the rule is continuous exactly where the
+closed-form identities need it to be.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "operator_norm",
     "hs_norm",
     "eig_log_det",
-    "log_sqrt_det_inv",
     "takagi",
     "as_vector",
     "as_matrix",
@@ -111,11 +110,6 @@ def eig_log_det(M) -> complex:
             f"eigenvalue modulus {small:.3e} below 1e-12 * ||M||; "
             "determinant power is ill-conditioned")
     return complex(np.sum(np.log(w)))
-
-
-def log_sqrt_det_inv(M) -> complex:
-    """log of det(M)^(-1/2) under the principal-eigenvalue-log branch rule."""
-    return -0.5 * eig_log_det(M)
 
 
 def _orthonormal_completion(cols: np.ndarray, d: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError
 from .linalg import as_vector, eig_log_det, mat_adjoint
-from .siegel import make_point, moebius
+from .siegel import moebius
 from .states import (
     UltracoherentState,
     bilinear_pairing,
@@ -28,10 +28,10 @@ from .states import (
     state_residual,
     weyl_apply,
 )
-from .symplectic import SymplecticElement, apply, compose, inverse
+from .symplectic import (SymplecticElement, apply, compose, inverse,
+                         log_det_abs_u)
 
 __all__ = [
-    "log_det_abs_u",
     "act_on_exponential",
     "act",
     "adjoint_act",
@@ -41,21 +41,9 @@ __all__ = [
 ]
 
 
-def log_det_abs_u(r: SymplecticElement) -> float:
-    """log det|U| = 1/2 sum log eig(I + VV+); real and nonnegative."""
-    w = np.linalg.eigvalsh(np.eye(r.dim) + r.V @ mat_adjoint(r.V))
-    return float(0.5 * np.sum(np.log(w)))
-
-
 def act_on_exponential(r: SymplecticElement, f) -> UltracoherentState:
-    """T(r) applied to the exponential vector of f (amplitude 1)."""
-    f = as_vector(f, r.dim)
-    Uad = mat_adjoint(r.U)
-    Z = np.linalg.solve(Uad, r.V.T)
-    vec = np.linalg.solve(Uad, f)
-    quad = bilinear_pairing(f, mat_adjoint(r.V) @ vec)
-    log_amp = -0.5 * log_det_abs_u(r) - 0.5 * quad
-    return make_state(make_point(Z), vec, log_amp)
+    """T(r) applied to the exponential vector Phi(0, f) (amplitude 1)."""
+    return act(r, make_state(np.zeros((r.dim, r.dim)), f))
 
 
 def act(r: SymplecticElement, x: UltracoherentState) -> UltracoherentState:

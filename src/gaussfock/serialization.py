@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GaussFockError
-from .fock import FockTensor, basis_indices, make_tensor
+from .fock import FockTensor, _basis, basis_indices
 from .siegel import SiegelPoint, make_point
 from .states import UltracoherentState, make_state
 from .symplectic import SymplecticElement, make_symplectic
@@ -140,9 +140,10 @@ def encode_tensor(F: FockTensor, threshold: float = 0.0) -> dict:
 def decode_tensor(obj: Any) -> FockTensor:
     _expect_keys(obj, ("dim", "cutoff", "entries"), "tensor dump")
     dim, cutoff = obj["dim"], obj["cutoff"]
-    if not (isinstance(dim, int) and isinstance(cutoff, int)):
+    if not (type(dim) is int and type(cutoff) is int):  # bools are ints too
         raise GaussFockError("tensor dim and cutoff must be ints")
-    coeffs = np.zeros((cutoff + 1,) * dim, dtype=complex)
+    b = _basis(dim, cutoff)
+    coeffs = {}
     for entry in obj["entries"]:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not isinstance(entry[0], list)):
@@ -152,7 +153,17 @@ def decode_tensor(obj: Any) -> FockTensor:
                 isinstance(k, int) and 0 <= k <= cutoff for k in m):
             raise GaussFockError(f"bad occupation index {m!r}")
         coeffs[tuple(m)] = decode_complex(z)
-    return make_tensor(dim, cutoff, coeffs)
+    if any(sum(m) > cutoff and z != 0 for m, z in coeffs.items()):
+        raise GaussFockError(
+            "coefficients with total degree beyond the cutoff must vanish")
+    kept = [m for m in coeffs if sum(m) <= cutoff]
+    # the basis table is searched by grid key, m in base cutoff+1
+    keys = np.array(kept, dtype=np.int64).reshape(-1, dim) @ (
+        (cutoff + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64))
+    vector = np.zeros(b.size, dtype=complex)
+    vector[b.order[np.searchsorted(b.key, keys, sorter=b.order)]] = [
+        coeffs[m] for m in kept]
+    return FockTensor._of(dim, cutoff, vector)
 
 
 def load_json(path: str) -> Any:

@@ -49,20 +49,21 @@ class SiegelPoint:
         return self.Z.shape[0]
 
 
-def make_point(Z, tol: float = 1e-10, margin: float = DISC_MARGIN) -> SiegelPoint:
+def make_point(Z) -> SiegelPoint:
     """Validate symmetry and strict disc membership.
 
     Raises:
-        NotSymmetricError: if ||Z - Z^T|| > tol * (1 + ||Z||).
-        NotInDiscError: if ||Z|| >= 1 - margin.
+        NotSymmetricError: if ||Z - Z^T|| > 1e-10 * (1 + ||Z||).
+        NotInDiscError: if ||Z|| >= 1 - DISC_MARGIN.
     """
     Z = as_matrix(Z)
     norm = operator_norm(Z)
-    if hs_norm(Z - Z.T) > tol * (1.0 + norm):
+    if hs_norm(Z - Z.T) > 1e-10 * (1.0 + norm):
         raise NotSymmetricError("disc point must be a symmetric matrix")
-    if norm >= 1.0 - margin:
+    if norm >= 1.0 - DISC_MARGIN:
         raise NotInDiscError(
-            f"operator norm {norm:.12f} is not below 1 - {margin:g}", norm)
+            f"operator norm {norm:.12f} is not below 1 - {DISC_MARGIN:g}",
+            norm)
     Z = Z.copy()
     Z.flags.writeable = False
     return SiegelPoint(Z, norm)
@@ -72,8 +73,7 @@ def origin(dim: int) -> SiegelPoint:
     return make_point(np.zeros((dim, dim)))
 
 
-def moebius(r: SymplecticElement, p: SiegelPoint,
-            tol: float = 1e-10) -> SiegelPoint:
+def moebius(r: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
     """Fractional-linear action of r on p, cross-checked in both forms."""
     Z = p.Z
     U, V = r.U, r.V
@@ -82,10 +82,10 @@ def moebius(r: SymplecticElement, p: SiegelPoint,
     right = np.linalg.solve(mat_adjoint(U) + Z @ mat_adjoint(V),
                             V.T + Z @ U.T)
     dev = hs_norm(left - right)
-    if dev > tol * (1.0 + operator_norm(right)):
+    if dev > 1e-10 * (1.0 + operator_norm(right)):
         raise InternalInconsistencyError(
             f"the two Moebius expressions disagree by {dev:.3e}")
-    return make_point(right, tol=max(tol, 1e-10))
+    return make_point(right)
 
 
 def transport_from_origin(p: SiegelPoint) -> SymplecticElement:

@@ -33,14 +33,13 @@ from .errors import (
 from .linalg import (
     as_matrix,
     as_vector,
+    eig_log_det,
     hs_norm,
     involution,
-    log_sqrt_det_inv,
     mat_adjoint,
-    operator_norm,
 )
 from .siegel import SiegelPoint, make_point, random_point, transport_from_origin
-from .symplectic import SymplecticElement
+from .symplectic import SymplecticElement, log_det_abs_u
 
 __all__ = [
     "UltracoherentState",
@@ -127,12 +126,12 @@ class OverlapKernel:
     log_det_factor: complex
 
 
-def overlap_kernel(A, B, check_tol: float = 1e-12) -> OverlapKernel:
+def overlap_kernel(A, B) -> OverlapKernel:
     """Kernel of the determinant-overlap formula.
 
     C = B (I - A+B)^{-1} and D = A+ (I - BA+)^{-1} are each evaluated in two
     algebraically equal forms (push-through identity) and must agree within
-    check_tol times (1 + norm); cross_op = (I - BA+)^{-1}.
+    1e-12 times (1 + norm); cross_op = (I - BA+)^{-1}.
     """
     A = as_matrix(A)
     B = as_matrix(B, A.shape[0])
@@ -148,10 +147,10 @@ def overlap_kernel(A, B, check_tol: float = 1e-12) -> OverlapKernel:
     D2 = np.linalg.solve(M, Aad)
     devC = hs_norm(C - C2) / (1.0 + hs_norm(C))
     devD = hs_norm(D - D2) / (1.0 + hs_norm(D))
-    if max(devC, devD) > check_tol:
+    if max(devC, devD) > 1e-12:
         raise InternalInconsistencyError(
             f"overlap kernel dual forms disagree by {max(devC, devD):.3e}")
-    return OverlapKernel(C, D, cross, log_sqrt_det_inv(M))
+    return OverlapKernel(C, D, cross, -0.5 * eig_log_det(M))
 
 
 def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
@@ -196,7 +195,7 @@ def norm_squared_direct(x: UltracoherentState) -> float:
     Mi = np.linalg.inv(eye - Aad @ A)
     Gi = np.linalg.inv(eye - A @ Aad)
     fs = involution(f)
-    val = (log_sqrt_det_inv(eye - Aad @ A)
+    val = (-0.5 * eig_log_det(eye - Aad @ A)
            + 0.5 * bilinear_pairing(fs, A @ Mi @ fs)
            + hermitian_inner(f, Gi @ f)
            + 0.5 * bilinear_pairing(f, Aad @ Gi @ f))
@@ -223,7 +222,7 @@ def weyl_apply(h, x: UltracoherentState) -> UltracoherentState:
     new_f = x.f + h - Z @ hs
     new_log = (x.log_amp - 0.5 * np.vdot(h, h).real
                + 0.5 * bilinear_pairing(hs, Z @ hs - 2.0 * x.f))
-    return UltracoherentState(x.Z, new_f, complex(new_log))
+    return make_state(x.Z, new_f, new_log)
 
 
 def weyl_phase(f, g) -> complex:
@@ -264,9 +263,8 @@ def factor_displaced_squeezed(x: UltracoherentState
     Z = x.Z.Z
     h = displacement_to_origin(x)
     r = transport_from_origin(x.Z)
-    w = np.linalg.eigvalsh(np.eye(x.dim) - Z @ mat_adjoint(Z))
-    # log det|U_R| = -1/2 sum log w; the factor enters with power +1/2
-    log_resid = (x.log_amp - 0.25 * np.sum(np.log(w))
+    # T(R) vacuum carries det|U_R|^{-1/2}; the residual undoes it
+    log_resid = (x.log_amp + 0.5 * log_det_abs_u(r)
                  + 0.5 * np.vdot(h, h).real
                  - 0.5 * bilinear_pairing(involution(h), Z @ involution(h)))
     return h, r, complex(np.exp(log_resid))
@@ -277,7 +275,7 @@ def scaled(x: UltracoherentState, factor: complex) -> UltracoherentState:
     factor = complex(factor)
     if factor == 0:
         raise InternalInconsistencyError("amplitude factor must be nonzero")
-    return UltracoherentState(x.Z, x.f, x.log_amp + complex(np.log(factor)))
+    return make_state(x.Z, x.f, x.log_amp + np.log(factor))
 
 
 def state_residual(x: UltracoherentState, y: UltracoherentState) -> float:

@@ -50,6 +50,7 @@ __all__ = [
     "polar_factorize",
     "conjugated_free_field",
     "random_element",
+    "log_det_abs_u",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -106,23 +107,23 @@ def identity(dim: int) -> SymplecticElement:
     return make_symplectic(np.eye(dim), np.zeros((dim, dim)))
 
 
-def from_unitary(K, tol: float = DEFAULT_TOL) -> SymplecticElement:
+def from_unitary(K) -> SymplecticElement:
     """Embed a unitary K as the element (K, 0)."""
     K = as_matrix(K)
     defect = hs_norm(mat_adjoint(K) @ K - np.eye(K.shape[0]))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise NotUnitaryError(
             f"matrix is not unitary: ||K+K - I|| = {defect:.3e}")
     return make_symplectic(K, np.zeros(K.shape))
 
 
-def squeeze(A, tol: float = DEFAULT_TOL) -> SymplecticElement:
+def squeeze(A) -> SymplecticElement:
     """The positive element (cosh A, sinh A) for real symmetric A."""
     A = as_matrix(A)
-    if hs_norm(A.imag) > tol * (1.0 + operator_norm(A)):
+    if hs_norm(A.imag) > DEFAULT_TOL * (1.0 + operator_norm(A)):
         raise NotRealSymmetricError("squeeze matrix must be real")
     Ar = A.real
-    if hs_norm(Ar - Ar.T) > tol * (1.0 + operator_norm(Ar)):
+    if hs_norm(Ar - Ar.T) > DEFAULT_TOL * (1.0 + operator_norm(Ar)):
         raise NotRealSymmetricError("squeeze matrix must be symmetric")
     w, E = np.linalg.eigh(Ar)
     U = (E * np.cosh(w)) @ E.T
@@ -141,9 +142,9 @@ def compose(r2: SymplecticElement, r1: SymplecticElement,
     return make_symplectic(U, V, tol)
 
 
-def inverse(r: SymplecticElement, tol: float = DEFAULT_TOL) -> SymplecticElement:
+def inverse(r: SymplecticElement) -> SymplecticElement:
     """Group inverse (U+, -V^T)."""
-    return make_symplectic(mat_adjoint(r.U), -r.V.T, tol)
+    return make_symplectic(mat_adjoint(r.U), -r.V.T)
 
 
 def apply(r: SymplecticElement, f) -> np.ndarray:
@@ -159,18 +160,18 @@ def symplectic_form(f, g) -> float:
     return float(np.vdot(f, g).imag)
 
 
-def _equal_groups(vals: np.ndarray, rtol: float = 1e-8):
-    """Contiguous index ranges of (sorted) values equal within rtol."""
+def _equal_groups(vals: np.ndarray):
+    """Contiguous index ranges of (sorted) values equal within 1e-8 relative."""
     groups = []
     start = 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[start]) > rtol * (1.0 + abs(vals[start])):
+        if i == len(vals) or abs(vals[i] - vals[start]) > 1e-8 * (1.0 + abs(vals[start])):
             groups.append((start, i))
             start = i
     return groups
 
 
-def polar_factorize(r: SymplecticElement, tol: float = 1e-9
+def polar_factorize(r: SymplecticElement
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor r as (K1, 0) o (cosh A, sinh A) o (K2, 0).
 
@@ -183,11 +184,10 @@ def polar_factorize(r: SymplecticElement, tol: float = 1e-9
     Returns:
         (K1, A, K2) as plain matrices, so that
         compose(from_unitary(K1), compose(squeeze(A), from_unitary(K2)))
-        reproduces r within tol.
+        reproduces r within 1e-9 * (1 + ||U||).
 
     Raises:
-        FactorizationFailureError: if the recomposition residual exceeds
-        tol * (1 + ||U||).
+        FactorizationFailureError: if it does not.
     """
     U, V = r.U, r.V
     d = r.dim
@@ -219,7 +219,7 @@ def polar_factorize(r: SymplecticElement, tol: float = 1e-9
         raise FactorizationFailureError(
             f"factors do not recompose: {exc}") from exc
     residual = max(hs_norm(rec.U - U), hs_norm(rec.V - V))
-    if residual > tol * (1.0 + operator_norm(U)):
+    if residual > 1e-9 * (1.0 + operator_norm(U)):
         raise FactorizationFailureError(
             f"recomposition residual {residual:.3e} exceeds tolerance")
     return K1, A, K2
@@ -249,6 +249,12 @@ def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
     U = (U1 * dpos) @ mat_adjoint(U1) - (V1 * dneg) @ mat_adjoint(V1)
     V = -(U1 * dpos) @ V1.T + (V1 * dneg) @ U1.T
     return make_symplectic(U, V, tol)
+
+
+def log_det_abs_u(r: SymplecticElement) -> float:
+    """log det|U| = 1/2 sum log eig(I + VV+); real and nonnegative."""
+    w = np.linalg.eigvalsh(np.eye(r.dim) + r.V @ mat_adjoint(r.V))
+    return float(0.5 * np.sum(np.log(w)))
 
 
 def random_element(dim: int, rng: np.random.Generator,

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from . import circuits, fock, representation as rep, siegel, states, symplectic as sp
-from .linalg import hs_norm, involution, mat_adjoint, mat_conj, operator_norm, takagi
+from .linalg import hs_norm, involution, mat_adjoint, mat_conj, operator_norm
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 

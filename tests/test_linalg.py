@@ -14,7 +14,6 @@ from gaussfock.linalg import (
     eig_log_det,
     hs_norm,
     involution,
-    log_sqrt_det_inv,
     mat_adjoint,
     mat_conj,
     operator_norm,
@@ -69,11 +68,6 @@ class TestEigLogDet:
             M = np.eye(4) + 0.3 * random_complex(4, 4)
             val = eig_log_det(M)
             assert np.exp(val) == pytest.approx(np.linalg.det(M), rel=1e-12)
-
-    def test_log_sqrt_det_inv_squares_back(self):
-        M = np.eye(3) + 0.4 * random_complex(3, 3)
-        half = log_sqrt_det_inv(M)
-        assert np.exp(-2 * half) == pytest.approx(np.linalg.det(M), rel=1e-12)
 
     def test_singular_matrix_rejected(self):
         M = np.diag([1.0, 0.0, 2.0]).astype(complex)

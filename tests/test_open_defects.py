@@ -1,0 +1,72 @@
+"""Open defects, recorded as strict expected failures.
+
+Each test asserts what the package should do and fails today for the reason
+in its marker. A test that starts to pass fails the run under strict mode, so
+a fix must also remove its marker; a test that fails for another reason fails
+the run too.
+"""
+
+import contextlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gaussfock import circuits, representation as rep, serialization as ser
+from gaussfock import states, verify
+from gaussfock.errors import InternalInconsistencyError
+
+DATA = Path(__file__).parent / "data"
+
+
+def _random_circuit(n_gates: int) -> list[circuits.Gate]:
+    """verify's random d=4 gate lists from default_rng(0), chained."""
+    rng = np.random.default_rng(0)
+    gates = []
+    while len(gates) < n_gates:
+        gates += verify._random_gates(4, rng)
+    return gates[:n_gates]
+
+
+@contextlib.contextmanager
+def _recorded_failure(message: str):
+    """Let through only the InternalInconsistencyError naming message."""
+    try:
+        yield
+    except InternalInconsistencyError as exc:
+        if message not in str(exc):
+            pytest.fail(f"failed for another reason: {exc}")
+        raise
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InternalInconsistencyError,
+    reason="overlap_kernel's dual-form tolerance is a fixed 1e-12; on this "
+           "unit-norm 1000-gate state the forms disagree by 3.377e-11")
+def test_norm_of_long_circuit():
+    out = circuits.run(_random_circuit(1000), 4)
+    with _recorded_failure("overlap kernel dual forms disagree by"):
+        value = states.norm(out)
+    assert abs(value - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InternalInconsistencyError,
+    reason="multiplier's modulus check is a fixed 1e-10; gate 1325 of the "
+           "5000-gate circuit, applied to the product of the gates before "
+           "it (||U|| = 2.6e3), gives |chi| - 1 = 1.242e-10")
+def test_multiplier_after_long_circuit():
+    pair = ser.load_json(str(DATA / "multiplier_pair_5000_gates.json"))
+    r2, r1 = (ser.decode_symplectic(pair[k]) for k in ("r2", "r1"))
+    with _recorded_failure("multiplier modulus deviates from 1 by"):
+        chi = rep.multiplier(r2, r1)
+    assert abs(abs(chi) - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the closed-form norm loses relative accuracy near the disc "
+           "boundary: norm - 1 = 3.978e-9 at ||Z|| = tanh(10)")
+def test_norm_near_disc_boundary():
+    out = circuits.run(circuits.parse("S(0,10,0)"), 1)
+    assert abs(states.norm(out) - 1.0) <= 1e-9

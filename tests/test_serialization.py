@@ -127,6 +127,37 @@ class TestTensor:
         with pytest.raises(GaussFockError, match="cutoff"):
             ser.decode_tensor(obj)
 
+    def test_matches_grid_constructor(self):
+        # decode fills the flat vector; make_tensor reads the same grid
+        rng = np.random.default_rng(11)
+        d, N = 3, 5
+        grid = np.zeros((N + 1,) * d, dtype=complex)
+        entries = []
+        for m in fock.basis_indices(d, N)[::3]:
+            z = complex(rng.normal(), rng.normal())
+            grid[m] = z
+            entries.append([list(m), [z.real, z.imag]])
+        out = ser.decode_tensor({"dim": d, "cutoff": N, "entries": entries})
+        assert np.array_equal(out.vector, fock.make_tensor(d, N, grid).vector)
+
+    def test_zero_entry_beyond_degree_accepted(self):
+        obj = {"dim": 2, "cutoff": 3,
+               "entries": [[[3, 3], [0.0, 0.0]], [[1, 0], [2.0, 1.0]]]}
+        out = ser.decode_tensor(obj)
+        assert out.vector[fock.basis_indices(2, 3).index((1, 0))] == 2 + 1j
+        assert np.count_nonzero(out.vector) == 1
+
+    def test_boolean_dim_rejected(self):
+        obj = {"dim": True, "cutoff": 2, "entries": []}
+        with pytest.raises(GaussFockError, match="must be ints"):
+            ser.decode_tensor(obj)
+
+    def test_size_guard_runs_before_allocation(self):
+        # the (21,)^9 grid would take 11.6 TiB
+        obj = {"dim": 9, "cutoff": 20, "entries": []}
+        with pytest.raises(GaussFockError, match="size guard"):
+            ser.decode_tensor(obj)
+
 
 class TestFiles:
     def test_dump_and_load(self, tmp_path):

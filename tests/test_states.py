@@ -235,6 +235,16 @@ class TestResidual:
         with pytest.raises(GaussFockError):
             states.scaled(x, 0.0)
 
+    @pytest.mark.parametrize("factor", [np.inf, np.nan])
+    def test_scaled_nonfinite_rejected(self, factor):
+        with pytest.raises(GaussFockError, match="log amplitude must be finite"):
+            states.scaled(states.vacuum(1), factor)
+
+    @pytest.mark.parametrize("h", [[1e200], [np.nan]])
+    def test_weyl_apply_nonfinite_rejected(self, h):
+        with pytest.raises(GaussFockError, match="must be finite"):
+            states.weyl_apply(h, states.vacuum(1))
+
 
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(-0.8, 0.8), b=st.floats(-0.8, 0.8))
