@@ -32,7 +32,7 @@ from .errors import (
     DimensionMismatchError,
     ModeOutOfRangeError,
 )
-from .representation import act, multiplier
+from .representation import _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
@@ -259,9 +259,10 @@ def compile_circuit(gates: list[Gate], dim: int,
             h = hg + h
         else:
             rg = _gate_element(gate, dim, base_dir)
-            log_phase += np.log(multiplier(rg, element))
+            r3 = compose(rg, element)
+            log_phase += np.log(_multiplier(rg, element, r3))
             h = apply(rg, h)
-            element = compose(rg, element)
+            element = r3
     return CompiledCircuit(h, element, complex(log_phase))
 
 

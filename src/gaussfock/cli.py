@@ -144,7 +144,7 @@ def _cmd_compose(args) -> int:
     ra = ser.decode_symplectic(ser.load_json(args.a), tol=args.tol)
     rb = ser.decode_symplectic(ser.load_json(args.b), tol=args.tol)
     prod = sp.compose(ra, rb, tol=args.tol)
-    chi = rep.multiplier(ra, rb)
+    chi = rep._multiplier(ra, rb, prod)
     payload = {"product": ser.encode_symplectic(prod),
                "multiplier": ser.encode_complex(chi)}
     lines = [f"multiplier = {chi.real:+.12e} {chi.imag:+.12e}j",

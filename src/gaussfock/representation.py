@@ -77,7 +77,12 @@ def multiplier(r2: SymplecticElement, r1: SymplecticElement) -> complex:
     - eig_log_det(U1+^-1 U3+ U2+^-1) ], all under the shared branch rule, so
     check_composition residuals sit at roundoff for every state.
     """
-    r3 = compose(r2, r1)
+    return _multiplier(r2, r1, compose(r2, r1))
+
+
+def _multiplier(r2: SymplecticElement, r1: SymplecticElement,
+                r3: SymplecticElement) -> complex:
+    """multiplier(r2, r1) for a caller that already holds r3 = r2 o r1."""
     inner = np.linalg.solve(mat_adjoint(r1.U), mat_adjoint(r3.U))
     inner = np.linalg.solve(mat_adjoint(r2.U).T, inner.T).T
     log_chi = 0.5 * (log_det_abs_u(r3) - log_det_abs_u(r1)
@@ -93,7 +98,8 @@ def check_composition(r2: SymplecticElement, r1: SymplecticElement,
                       x: UltracoherentState) -> float:
     """Residual of T(r2) T(r1) x = multiplier * T(r2 o r1) x."""
     lhs = act(r2, act(r1, x))
-    rhs = scaled(act(compose(r2, r1), x), multiplier(r2, r1))
+    r3 = compose(r2, r1)
+    rhs = scaled(act(r3, x), _multiplier(r2, r1, r3))
     return state_residual(lhs, rhs)
 
 

@@ -15,6 +15,7 @@ unitary; see polar_factorize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,15 @@ class SymplecticElement:
     @property
     def dim(self) -> int:
         return self.U.shape[0]
+
+    @cached_property
+    def log_det_abs_u(self) -> float:
+        """log det|U| = 1/2 sum log eig(I + VV+), computed once per element.
+
+        U and V are read-only, so the cached value cannot go stale.
+        """
+        w = np.linalg.eigvalsh(np.eye(self.dim) + self.V @ mat_adjoint(self.V))
+        return float(0.5 * np.sum(np.log(w)))
 
 
 def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
@@ -253,8 +263,7 @@ def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
 
 def log_det_abs_u(r: SymplecticElement) -> float:
     """log det|U| = 1/2 sum log eig(I + VV+); real and nonnegative."""
-    w = np.linalg.eigvalsh(np.eye(r.dim) + r.V @ mat_adjoint(r.V))
-    return float(0.5 * np.sum(np.log(w)))
+    return r.log_det_abs_u
 
 
 def random_element(dim: int, rng: np.random.Generator,

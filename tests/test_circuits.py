@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gaussfock import circuits, states, symplectic as sp
+from gaussfock import circuits, representation as rep, states
+from gaussfock import symplectic as sp
 from gaussfock.errors import (
     CircuitSyntaxError,
     DimensionMismatchError,
@@ -139,6 +140,58 @@ class TestCompile:
         with pytest.raises(DimensionMismatchError, match="dimension"):
             circuits.compile_circuit(
                 circuits.parse('SYMP("elem.json")'), 2, base_dir=str(tmp_path))
+
+
+def reference_fold(gates, dim):
+    """The normal-form fold spelled with public compose and multiplier."""
+    h = np.zeros(dim, dtype=complex)
+    element = sp.identity(dim)
+    log_phase = 0.0 + 0.0j
+    for gate in gates:
+        if gate.kind == "D":
+            hg = circuits._displacement_vector(gate, dim)
+            log_phase += -1j * sp.symplectic_form(hg, h)
+            h = hg + h
+        else:
+            rg = circuits._gate_element(gate, dim, ".")
+            log_phase += np.log(rep.multiplier(rg, element))
+            h = sp.apply(rg, h)
+            element = sp.compose(rg, element)
+    return h, element, complex(log_phase)
+
+
+class TestCompileFold:
+    """compile_circuit composes once per gate and matches the plain fold."""
+
+    def test_matches_reference_fold_byte_for_byte(self):
+        fold_rng = np.random.default_rng(7070)
+        for dim in range(1, 6):
+            for _ in range(8):
+                gates = random_gates(fold_rng, dim, lo=5, hi=30)
+                cc = circuits.compile_circuit(gates, dim)
+                h, element, log_phase = reference_fold(gates, dim)
+                assert np.array_equal(cc.element.U, element.U)
+                assert np.array_equal(cc.element.V, element.V)
+                assert np.array_equal(cc.displacement, h)
+                assert cc.log_phase == log_phase
+
+    def test_two_validations_per_symplectic_gate(self, monkeypatch):
+        calls = []
+        make = sp.make_symplectic
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "make_symplectic", counting)
+        monkeypatch.setattr(circuits, "make_symplectic", counting)
+        gates = circuits.parse("S(0, 0.3, 0.2)\nD(1, 0.5, 0.1)\n"
+                               "BS(0, 2, 0.4, 0.7)\nR(1, 0.9)\n"
+                               "S(2, -0.2, 1.0)\nD(0, 0.2, 2.0)")
+        circuits.compile_circuit(gates, 3)
+        n_symplectic = sum(g.kind != "D" for g in gates)
+        # one for the starting identity, then the gate element and compose
+        assert len(calls) == 1 + 2 * n_symplectic
 
 
 class TestRun:

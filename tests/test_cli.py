@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,19 @@ class TestCompose:
         assert abs(chi) == pytest.approx(1.0, abs=1e-12)
         assert chi == pytest.approx(multiplier(ra, rb), rel=1e-12)
 
+    def test_multiplier_accepts_what_tol_accepts(self, tmp_path, capsys):
+        # residual 2.227e-10: inside --tol 1e-9, outside the library's 1e-10
+        r = sp.random_element(2, np.random.default_rng(3), 0.5)
+        obj = ser.encode_symplectic(r)
+        obj["U"]["data"][0][0] += 4e-10
+        assert ser.decode_symplectic(obj, tol=1e-9).validation_residual > 1e-10
+        pa = write(tmp_path, "ra.json", obj)
+        pb = write(tmp_path, "rb.json", ser.encode_symplectic(sp.identity(2)))
+        code, out, err = run_cli(capsys, ["compose", "--a", pa, "--b", pb])
+        assert code == 0, err
+        chi = complex(*json.loads(out)["multiplier"])
+        assert chi == pytest.approx(1.0, abs=1e-12)
+
 
 class TestRun:
     def test_output_state(self, tmp_path, capsys):
@@ -191,6 +208,20 @@ class TestVerify:
         assert code == 0
         suites = [c["suite"] for c in json.loads(out)["checks"]]
         assert suites == sorted(suites, key=["dsl", "representation"].index)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussfock", "verify", "--suite", "siegel",
+             "--trials", "2", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestTakagi:

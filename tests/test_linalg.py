@@ -55,6 +55,15 @@ class TestNorms:
         A = random_complex(4, 4)
         assert operator_norm(A) == pytest.approx(np.linalg.svd(A)[1][0])
 
+    def test_operator_norm_matches_numpy_bit_for_bit(self):
+        for shape in [(1, 1), (2, 2), (4, 4), (6, 6), (3, 5), (5, 3)]:
+            for _ in range(10):
+                A = random_complex(*shape) * rng.uniform(1e-3, 1e3)
+                assert operator_norm(A) == float(np.linalg.norm(A, 2))
+
+    def test_operator_norm_of_empty_matrix(self):
+        assert operator_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+
     def test_hs_norm_is_frobenius(self):
         A = random_complex(4, 4)
         assert hs_norm(A) == pytest.approx(np.linalg.norm(A, "fro"))

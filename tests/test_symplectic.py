@@ -156,6 +156,24 @@ class TestGroupStructure:
         assert sp.symplectic_form(f, f) == 0.0
 
 
+class TestLogDetAbsU:
+    def test_matches_eigenvalue_formula(self):
+        for d in range(1, 6):
+            r = sp.random_element(d, rng)
+            w = np.linalg.eigvalsh(np.eye(d) + r.V @ mat_adjoint(r.V))
+            assert sp.log_det_abs_u(r) == float(0.5 * np.sum(np.log(w)))
+
+    def test_computed_once_per_element(self, monkeypatch):
+        r = sp.random_element(3, rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a: calls.append(1) or eigvalsh(*a))
+        first = sp.log_det_abs_u(r)
+        assert sp.log_det_abs_u(r) == first == r.log_det_abs_u
+        assert len(calls) == 1
+
+
 class TestPolarFactorization:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_reconstruction(self, d):
