@@ -9,10 +9,11 @@ coefficients c_m of sum_m c_m E_m, where E_m = e_1^{m_1} v ... v e_d^{m_d}
 and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 (cutoff+1,)^dim grid is only its exchange format: the constructor takes it,
 and .coeffs builds it on first read. A FockOperator acts on the same
-vectors: it is a dense matrix, or, for the displacement W(h) of weyl, the
-exponential of a sparse ladder generator, applied to vectors with
-expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011) and made
-dense only when its matrix is read.
+vectors through one matrix A, as A or as exp(A). create and annihilate
+are sparse ladder matrices built by one routine from the basis tables; the
+displacement W(h) of weyl is the exponential of their difference, applied
+to vectors with expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+2011). Only gamma, and a read of .matrix, make a dense matrix.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
@@ -119,29 +120,30 @@ class FockTensor:
 class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
-    FockOperator(dim, cutoff, matrix) holds a dense matrix. weyl builds one
-    that holds a sparse generator G instead: apply_operator computes exp(G) v
-    from G, and .matrix is expm of the densified G, computed on first read
-    and kept.
+    It holds one matrix A and acts as A, or as exp(A) for the displacement
+    of weyl. FockOperator(dim, cutoff, matrix) holds a dense matrix, which
+    .matrix returns. The ladder operators hold a sparse A: .matrix is then
+    A.toarray(), or scipy.linalg.expm of it, computed on first read and kept.
     """
 
     def __init__(self, dim: int, cutoff: int, matrix: np.ndarray):
         self.dim = dim
         self.cutoff = cutoff
-        self._matrix = matrix
-        self._generator = None
+        self._A = self._matrix = matrix
+        self._exp = False
 
     @classmethod
-    def _exponential(cls, dim: int, cutoff: int, generator) -> FockOperator:
-        op = cls(dim, cutoff, None)
-        op._generator = generator
+    def _sparse(cls, dim: int, cutoff: int, A, exp=False) -> FockOperator:
+        op = cls(dim, cutoff, A)
+        op._matrix, op._exp = None, exp
         return op
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            _check_dense(self._generator.shape[0])
-            self._matrix = scipy.linalg.expm(self._generator.toarray())
+            _check_dense(self._A.shape[0])
+            dense = self._A.toarray()
+            self._matrix = scipy.linalg.expm(dense) if self._exp else dense
         return self._matrix
 
 
@@ -177,9 +179,9 @@ class _Basis:
     """The flat basis with its lowering table.
 
     idx[i] is the i-th multi-index, ordered by (total degree, lexicographic),
-    key[i] its position in the flattened grid, and positions
-    start[n]:start[n+1] hold degree n. weight[i] is idx[i]! and order sorts
-    key. down[i, mu] is the position of idx[i] - e_mu, or size when
+    key[i] = idx[i] @ strides its position in the flattened grid, and
+    positions start[n]:start[n+1] hold degree n. weight[i] is idx[i]! and
+    order sorts key. down[i, mu] is the position of idx[i] - e_mu, or size when
     idx[i, mu] = 0; callers pad their arrays with a zero there. parent[i] =
     down[i, axis[i]] for the first axis with idx[i, axis] > 0: the edge along
     which the recurrences build entry i.
@@ -193,6 +195,7 @@ class _Basis:
     parent: np.ndarray
     weight: np.ndarray
     order: np.ndarray
+    strides: np.ndarray
     size: int
 
 
@@ -220,9 +223,19 @@ def _basis(dim: int, cutoff: int) -> _Basis:
     parent = down[np.arange(size), axis]
     weight = np.prod(_factorials(cutoff)[idx], axis=1)
     order = np.argsort(key)
-    for arr in (idx, key, down, start, axis, parent, weight, order):
+    for arr in (idx, key, down, start, axis, parent, weight, order, strides):
         arr.flags.writeable = False
-    return _Basis(idx, key, down, start, axis, parent, weight, order, size)
+    return _Basis(idx, key, down, start, axis, parent, weight, order, strides,
+                  size)
+
+
+def _position(b: _Basis, keys) -> np.ndarray:
+    """Flat positions of the basis entries with the given grid keys, or with
+    the multi-indices in the rows of a (k, dim) array."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim == 2:
+        keys = keys @ b.strides
+    return b.order[np.searchsorted(b.key, keys, sorter=b.order)]
 
 
 @lru_cache(maxsize=32)
@@ -270,9 +283,7 @@ def symmetric_product(F: FockTensor, G: FockTensor) -> FockTensor:
     nz = np.flatnonzero(a)
     for i, n in zip(nz, np.searchsorted(b.start, nz, side="right") - 1):
         src = slice(0, b.start[F.cutoff - n + 1])
-        dst = b.order[np.searchsorted(b.key, b.key[i] + b.key[src],
-                                      sorter=b.order)]
-        out[dst] += a[i] * c[src]
+        out[_position(b, b.key[i] + b.key[src])] += a[i] * c[src]
     return FockTensor._of(F.dim, F.cutoff, out)
 
 
@@ -368,41 +379,46 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
             "operator and tensor must share dimension and cutoff")
-    if op._generator is None:
-        return FockTensor._of(F.dim, F.cutoff, op.matrix @ F.vector)
-    # imported here, like scipy.sparse in weyl: see the note there
+    if not op._exp:
+        return FockTensor._of(F.dim, F.cutoff, op._A @ F.vector)
+    # imported here, like scipy.sparse in _ladder: see the note there
     from scipy.sparse.linalg import expm_multiply
     # once the generator's 1-norm exceeds about 63, expm_multiply estimates
     # norms with onenormest, which draws from numpy's global RNG; the
     # caller's random stream is put back as it was
     rng_state = np.random.get_state()
     try:
-        out = expm_multiply(op._generator, F.vector)
+        out = expm_multiply(op._A, F.vector)
     finally:
         np.random.set_state(rng_state)
     return FockTensor._of(F.dim, F.cutoff, out)
 
 
-def _operator_basis(dim: int, cutoff: int) -> _Basis:
-    """The flat basis, once a dense matrix on it is known to fit the guard."""
-    b = _basis(dim, cutoff)
-    _check_dense(b.size)
-    return b
+def _ladder(b: _Basis, vals, raising: bool):
+    """Sparse matrix with vals[j, mu] (broadcast) at (j, down[j, mu]) when
+    raising, at (down[j, mu], j) when lowering, where idx[j, mu] > 0.
 
+    The rows j of nonzero(idx) give the CSR row pointer, and down[j, mu]
+    rises with mu, so the indices come out sorted; lowering reads the same
+    arrays as CSC.
+    """
+    # imported here: at module level it raised the peak memory of a process
+    # that runs only circuits (the circuits-d4 benchmark workload) from 63.0
+    # to 66.7 MB, median of 3 runs on 2 cores
+    import scipy.sparse
 
-def _lowering(b: _Basis, vals) -> np.ndarray:
-    """Matrix with vals[j, mu] (broadcast) at (down[j, mu], j), for the
-    entries where idx[j, mu] > 0."""
-    M = np.zeros((b.size + 1, b.size), dtype=complex)
-    M[b.down, np.arange(b.size)[:, None]] = vals
-    return M[:-1]
+    j, mu = np.nonzero(b.idx)
+    indptr = np.searchsorted(j, np.arange(b.size + 1))
+    data = np.broadcast_to(vals, b.idx.shape)[j, mu]
+    form = scipy.sparse.csr_array if raising else scipy.sparse.csc_array
+    return form((data, b.down[j, mu], indptr), shape=(b.size, b.size))
 
 
 def create(f, cutoff: int) -> FockOperator:
     """Creation operator a+(f): E_m -> sum_mu f_mu E_{m + e_mu}."""
     f = as_vector(f)
-    b = _operator_basis(f.shape[0], cutoff)
-    return FockOperator(f.shape[0], cutoff, _lowering(b, f).T)
+    A = _ladder(_basis(f.shape[0], cutoff), f, True)
+    return FockOperator._sparse(f.shape[0], cutoff, A)
 
 
 def annihilate(f, cutoff: int) -> FockOperator:
@@ -412,8 +428,9 @@ def annihilate(f, cutoff: int) -> FockOperator:
     annihilate(f*).
     """
     f = as_vector(f)
-    b = _operator_basis(f.shape[0], cutoff)
-    return FockOperator(f.shape[0], cutoff, _lowering(b, f * b.idx))
+    b = _basis(f.shape[0], cutoff)
+    A = _ladder(b, f * b.idx, False)
+    return FockOperator._sparse(f.shape[0], cutoff, A)
 
 
 def gamma(B, cutoff: int) -> FockOperator:
@@ -424,7 +441,8 @@ def gamma(B, cutoff: int) -> FockOperator:
     """
     B = as_matrix(B)
     d = B.shape[0]
-    b = _operator_basis(d, cutoff)
+    b = _basis(d, cutoff)
+    _check_dense(b.size)
     M = np.zeros((b.size + 1, b.size), dtype=complex)   # last row: the pad
     M[0, 0] = 1.0
     for n in range(1, cutoff + 1):
@@ -438,29 +456,14 @@ def gamma(B, cutoff: int) -> FockOperator:
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    G is sparse, with at most 2 dim entries per column: h_mu at
-    (j, down[j, mu]) and -h*_mu m_mu at (down[j, mu], j); made dense, it
-    equals create(h).matrix - annihilate(h*).matrix. apply_operator computes
-    W(h) v from G with expm_multiply; .matrix, built on first read, is
-    scipy.linalg.expm of the dense G.
+    G is the difference of the sparse ladder matrices of create(h) and
+    annihilate(h*). apply_operator computes W(h) v from G with
+    expm_multiply; .matrix, built on first read, is scipy.linalg.expm of
+    the dense G.
     """
-    # scipy.sparse and scipy.sparse.linalg are imported on the Weyl path
-    # only: imported at module level they raised the peak memory of a
-    # process that runs only circuits (the circuits-d4 benchmark workload)
-    # from 63.0 to 66.7 MB, median of 3 runs on 2 cores
-    import scipy.sparse
-
     h = as_vector(h)
-    d = h.shape[0]
-    b = _basis(d, cutoff)
-    j, mu = np.nonzero(b.idx)
-    low = b.down[j, mu]
-    vals = (h[mu], -involution(h)[mu] * b.idx[j, mu])
-    gen = scipy.sparse.csr_array(
-        (np.concatenate(vals),
-         (np.concatenate([j, low]), np.concatenate([low, j]))),
-        shape=(b.size, b.size))
-    return FockOperator._exponential(d, cutoff, gen)
+    gen = create(h, cutoff)._A - annihilate(involution(h), cutoff)._A
+    return FockOperator._sparse(h.shape[0], cutoff, gen, exp=True)
 
 
 def alpha_norm(F: FockTensor, alpha: float) -> float:

@@ -2,9 +2,8 @@
 
 Conventions used throughout the package: vectors live in C^d equipped with a
 distinguished real basis. The involution ``f*`` conjugates components in that
-basis. For a matrix A, ``mat_conj`` conjugates entries, ``mat_transpose`` is
-the plain transpose, and ``mat_adjoint`` is the conjugate transpose; the three
-are tied together by involution(A f) = mat_conj(A) involution(f).
+basis. For a matrix A, ``mat_conj`` conjugates entries and ``mat_adjoint`` is
+the conjugate transpose; involution(A f) = mat_conj(A) involution(f).
 
 Determinant branch rule: every half-integer power of a determinant in this
 package is evaluated as exp of a linear combination of principal logarithms of
@@ -26,7 +25,6 @@ from .errors import (
 __all__ = [
     "involution",
     "mat_conj",
-    "mat_transpose",
     "mat_adjoint",
     "operator_norm",
     "hs_norm",
@@ -68,11 +66,6 @@ def involution(f) -> np.ndarray:
 def mat_conj(A) -> np.ndarray:
     """Entrywise conjugate of a matrix."""
     return np.conj(np.asarray(A, dtype=complex))
-
-
-def mat_transpose(A) -> np.ndarray:
-    """Plain transpose of a matrix."""
-    return np.asarray(A, dtype=complex).T
 
 
 def mat_adjoint(A) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GaussFockError
-from .fock import FockTensor, _basis, basis_indices
+from .fock import FockTensor, _basis, _position, basis_indices
 from .siegel import SiegelPoint, make_point
 from .states import UltracoherentState, make_state
 from .symplectic import SymplecticElement, make_symplectic
@@ -157,11 +157,8 @@ def decode_tensor(obj: Any) -> FockTensor:
         raise GaussFockError(
             "coefficients with total degree beyond the cutoff must vanish")
     kept = [m for m in coeffs if sum(m) <= cutoff]
-    # the basis table is searched by grid key, m in base cutoff+1
-    keys = np.array(kept, dtype=np.int64).reshape(-1, dim) @ (
-        (cutoff + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64))
     vector = np.zeros(b.size, dtype=complex)
-    vector[b.order[np.searchsorted(b.key, keys, sorter=b.order)]] = [
+    vector[_position(b, np.array(kept, dtype=np.int64).reshape(-1, dim))] = [
         coeffs[m] for m in kept]
     return FockTensor._of(dim, cutoff, vector)
 

@@ -1,7 +1,8 @@
 """The oracle's amplitude recurrence against exact rationals, the
-least-cutoff search against the tail bound it inverts, the two routes of
-the Weyl operator (its action from the sparse generator and its dense
-matrix), and the flat tensor layout with its grid exchange format."""
+least-cutoff search against the tail bound it inverts, the sparse ladder
+operators, the two routes of the Weyl operator (its action from the sparse
+generator and its dense matrix), and the flat tensor layout with its grid
+exchange format."""
 
 import os
 import subprocess
@@ -104,7 +105,7 @@ def test_weyl_generator_and_matrix_match_dense_route(d, N):
         dense = (fock.create(h, N).matrix
                  - fock.annihilate(involution(h), N).matrix)
         w = fock.weyl(h, N)
-        assert np.array_equal(w._generator.toarray(), dense)
+        assert np.array_equal(w._A.toarray(), dense)
         assert w.matrix.tobytes() == scipy.linalg.expm(dense).tobytes()
 
 
@@ -139,9 +140,10 @@ def test_dense_operators_refuse_sizes_beyond_the_guard():
     assert len(fock.basis_indices(d, N)) ** 2 > fock.MAX_GRID_ENTRIES
     assert len(fock.basis_indices(d, N - 1)) ** 2 <= fock.MAX_GRID_ENTRIES
     h = np.array([0.3, 0.2j])
-    for build in (lambda: fock.create(h, N), lambda: fock.annihilate(h, N),
-                  lambda: fock.gamma(np.eye(d), N),
-                  lambda: fock.weyl(h, N).matrix):
+    for build in (lambda: fock.create(h, N).matrix,
+                  lambda: fock.annihilate(h, N).matrix,
+                  lambda: fock.weyl(h, N).matrix,
+                  lambda: fock.gamma(np.eye(d), N)):
         with pytest.raises(GaussFockError):
             build()
     out = fock.apply_operator(fock.weyl(h, N), fock.vacuum_tensor(d, N))
@@ -149,6 +151,30 @@ def test_dense_operators_refuse_sizes_beyond_the_guard():
     low = tuple(np.array([m for m in fock.basis_indices(d, N)
                           if sum(m) <= N // 3]).T)
     assert np.max(np.abs(out.coeffs[low] - want[low])) <= 1e-12
+
+
+def _low_degree_tensor(d, N, top, rng):
+    grid = np.zeros((N + 1,) * d, dtype=complex)
+    for m in fock.basis_indices(d, top):
+        grid[m] = rng.normal() + 1j * rng.normal()
+    return fock.make_tensor(d, N, grid)
+
+
+def test_ladder_operators_act_beyond_the_dense_guard():
+    # at (2, 94) a dense ladder matrix is refused; the sparse one acts
+    d, N = 2, 94
+    rng = np.random.default_rng(94)
+    f, g = np.array([0.3, 0.2j]), np.array([0.25 - 0.1j, 0.4])
+    below = len(fock.basis_indices(d, N - 1))
+    got = fock.apply_operator(fock.annihilate(f, N), fock.exp_vector(g, N))
+    want = np.dot(f, g) * fock.exp_vector(g, N).vector
+    assert np.max(np.abs(got.vector[:below] - want[:below])) <= 1e-15
+    for _ in range(3):
+        F, G = (_low_degree_tensor(d, N, 6, rng) for _ in range(2))
+        lhs = fock.inner(fock.apply_operator(fock.create(f, N), F), G)
+        rhs = fock.inner(F, fock.apply_operator(
+            fock.annihilate(involution(f), N), G))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 _IMPORT_PROBE = """
