@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,10 @@ def _common_flags(p: argparse.ArgumentParser, tol: bool = True) -> None:
                    help="output format (default json; verify defaults to text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: read it,
+    do not modify it."""
     parser = argparse.ArgumentParser(
         prog="gaussfock",
         description="Gaussian states on bosonic Fock space: overlaps, "
@@ -247,8 +251,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "demo":
             return _cmd_demo_free_field(args)

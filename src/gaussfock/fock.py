@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -143,7 +142,11 @@ class FockOperator:
         if self._matrix is None:
             _check_dense(self._A.shape[0])
             dense = self._A.toarray()
-            self._matrix = scipy.linalg.expm(dense) if self._exp else dense
+            if self._exp:
+                # imported here, like scipy.sparse in _ladder: see the note
+                import scipy.linalg
+                dense = scipy.linalg.expm(dense)
+            self._matrix = dense
         return self._matrix
 
 
@@ -403,8 +406,8 @@ def _ladder(b: _Basis, vals, raising: bool):
     arrays as CSC.
     """
     # imported here: at module level it raised the peak memory of a process
-    # that runs only circuits (the circuits-d4 benchmark workload) from 63.0
-    # to 66.7 MB, median of 3 runs on 2 cores
+    # that imports gaussfock and gaussfock.cli and runs one d=2 circuit from
+    # 32.6 to 54.1 MB (3 runs each on 2 cores, all within 0.1 MB)
     import scipy.sparse
 
     j, mu = np.nonzero(b.idx)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    GaussFockError,
     NotSymmetricError,
     SingularMatrixError,
 )
@@ -36,18 +37,24 @@ __all__ = [
 
 
 def as_vector(f, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-d complex ndarray, optionally enforcing its length."""
+    """Coerce to a finite 1-d complex ndarray, optionally enforcing its length."""
     f = np.asarray(f, dtype=complex)
     if f.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {f.shape}")
     if dim is not None and f.shape[0] != dim:
         raise DimensionMismatchError(
             f"expected a vector of length {dim}, got {f.shape[0]}")
+    if not np.isfinite(f).all():
+        raise GaussFockError("vector entries must be finite")
     return f
 
 
 def as_matrix(A, dim: int | None = None) -> np.ndarray:
-    """Coerce to a square complex ndarray, optionally enforcing its size."""
+    """Coerce to a finite square complex ndarray, optionally enforcing its size.
+
+    The finiteness check comes before any LAPACK call, which would raise
+    numpy's LinAlgError on a NaN or return NaN on an infinity.
+    """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(
@@ -55,6 +62,8 @@ def as_matrix(A, dim: int | None = None) -> np.ndarray:
     if dim is not None and A.shape[0] != dim:
         raise DimensionMismatchError(
             f"expected a {dim}x{dim} matrix, got {A.shape[0]}x{A.shape[1]}")
+    if not np.isfinite(A).all():
+        raise GaussFockError("matrix entries must be finite")
     return A
 
 

@@ -101,7 +101,7 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
         hs_norm(U.T @ mat_conj(V) - mat_adjoint(V) @ U) / sym_scale,
     )
     residual = float(max(ratios))
-    if residual > tol:
+    if not residual <= tol:
         raise ConstraintViolationError(
             f"symplectic constraints violated: scaled residual {residual:.3e}"
             f" exceeds tol {tol:g}", residual)

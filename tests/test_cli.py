@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -166,6 +167,16 @@ class TestRun:
         got = ser.decode_state(json.loads(out))
         assert got.Z.Z[0, 0] == pytest.approx(np.tanh(0.3))
 
+    @pytest.mark.parametrize("line", ["S(0, 800, 0)", "R(0, 1e400)"])
+    def test_nonfinite_gate_is_input_error(self, tmp_path, capsys, line):
+        path = tmp_path / "c.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, ["run", "--circuit", str(path),
+                                            "--dim", "1"])
+        assert code == 2
+        assert "must be finite" in err
+
     def test_syntax_error_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("S(0, 0.5\n", encoding="utf-8")
@@ -208,6 +219,33 @@ class TestVerify:
         assert code == 0
         suites = [c["suite"] for c in json.loads(out)["checks"]]
         assert suites == sorted(suites, key=["dsl", "representation"].index)
+
+
+    @pytest.mark.parametrize("argv", [["--trials", "0"],
+                                      ["--trials", "-5", "--suite", "dsl"]])
+    def test_trials_below_one_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["verify"] + argv)
+        assert code == 2
+        assert "trials must be at least 1" in err
+        assert "ok:" not in out
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, ["verify", "--suite", "dsl",
+                                          "--trials", "1"])
+            assert code == 0
+        assert built.count("gaussfock") == 1
 
 
 class TestModuleEntryPoint:

@@ -5,6 +5,7 @@ import pytest
 
 from gaussfock.errors import (
     DimensionMismatchError,
+    GaussFockError,
     NotSymmetricError,
     SingularMatrixError,
 )
@@ -39,6 +40,13 @@ class TestCoercions:
             as_matrix(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatchError):
             as_matrix(np.zeros((2, 2)), dim=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_nonfinite_entries_rejected(self, bad):
+        with pytest.raises(GaussFockError, match="vector entries must be finite"):
+            as_vector([0.0, bad])
+        with pytest.raises(GaussFockError, match="matrix entries must be finite"):
+            as_matrix([[0.0, bad], [bad, 0.0]])
 
     def test_involution_conjugates(self):
         f = random_complex(4)

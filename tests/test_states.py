@@ -230,6 +230,16 @@ class TestResidual:
         x = states.random_state(2, rng)
         assert states.state_residual(x, x) == 0.0
 
+    @pytest.mark.parametrize("a, b", [(800, 799), (-800, -801), (0, -1),
+                                      (799, 800)])
+    def test_state_residual_amplitude_at_extreme_log_amp(self, a, b):
+        # e^800 overflows and e^-801 underflows; the amplitudes differ by a
+        # factor e wherever they sit
+        x = states.make_state(np.zeros((1, 1)), np.zeros(1), a)
+        y = states.make_state(np.zeros((1, 1)), np.zeros(1), b)
+        assert states.state_residual(x, y) == pytest.approx(1 - np.exp(-1),
+                                                            rel=1e-14)
+
     def test_scaled_zero_rejected(self):
         x = states.random_state(2, rng)
         with pytest.raises(GaussFockError):
