@@ -67,6 +67,17 @@ def as_matrix(A, dim: int | None = None) -> np.ndarray:
     return A
 
 
+def _as_matrix_stack(A) -> np.ndarray:
+    """as_matrix for a stack (..., d, d) of square matrices."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatchError(
+            f"expected a stack of square matrices, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise GaussFockError("matrix entries must be finite")
+    return A
+
+
 def involution(f) -> np.ndarray:
     """Componentwise conjugation f* in the distinguished real basis."""
     return np.conj(as_vector(f))
@@ -78,12 +89,12 @@ def mat_conj(A) -> np.ndarray:
 
 
 def mat_adjoint(A) -> np.ndarray:
-    """Conjugate transpose of a matrix."""
-    return np.conj(np.asarray(A, dtype=complex)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.asarray(A, dtype=complex)).swapaxes(-1, -2)
 
 
-def operator_norm(A) -> float:
-    """Largest singular value.
+def operator_norm(A):
+    """Largest singular value: a float, or an array for a stack (..., m, n).
 
     Calls the SVD directly: np.linalg.norm(A, 2) takes the same LAPACK
     route, so the value is identical, but its axis handling costs more than
@@ -91,8 +102,9 @@ def operator_norm(A) -> float:
     """
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+        return np.zeros(A.shape[:-2]) if A.ndim > 2 else 0.0
+    s = np.linalg.svd(A, compute_uv=False)[..., 0]
+    return s if A.ndim > 2 else float(s)
 
 
 def hs_norm(A) -> float:
@@ -100,23 +112,29 @@ def hs_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 
 
-def eig_log_det(M) -> complex:
+def eig_log_det(M):
     """Sum of principal logarithms of the eigenvalues of M.
 
     This is the branch rule for every fractional determinant power in the
     package: det(M)^s is exp(s * eig_log_det(M)). Rejects matrices with an
     eigenvalue of modulus below 1e-12 * ||M||, for which no continuous branch
     can be chosen.
+
+    A square matrix gives a complex. A stack (..., d, d) gives an array of
+    the same sums from one LAPACK call, and the first matrix of the stack
+    that fails raises its error.
     """
-    M = as_matrix(M)
+    M = as_matrix(M) if np.ndim(M) == 2 else _as_matrix_stack(M)
     w = np.linalg.eigvals(M)
-    floor = 1e-12 * max(operator_norm(M), 1e-300)
-    small = np.min(np.abs(w)) if w.size else 0.0
-    if w.size and small < floor:
-        raise SingularMatrixError(
-            f"eigenvalue modulus {small:.3e} below 1e-12 * ||M||; "
-            "determinant power is ill-conditioned")
-    return complex(np.sum(np.log(w)))
+    if w.shape[-1]:
+        small = np.abs(w).min(axis=-1)
+        below = small < 1e-12 * np.maximum(operator_norm(M), 1e-300)
+        if below.any():
+            raise SingularMatrixError(
+                f"eigenvalue modulus {small[below].flat[0]:.3e} below "
+                "1e-12 * ||M||; determinant power is ill-conditioned")
+    total = np.log(w).sum(axis=-1)
+    return complex(total) if M.ndim == 2 else total
 
 
 def _orthonormal_completion(cols: np.ndarray, d: int) -> np.ndarray:

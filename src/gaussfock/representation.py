@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .linalg import as_vector, eig_log_det, mat_adjoint
+from .linalg import as_vector, eig_log_det, mat_adjoint, mat_conj
 from .siegel import moebius
 from .states import (
     UltracoherentState,
@@ -77,21 +77,36 @@ def multiplier(r2: SymplecticElement, r1: SymplecticElement) -> complex:
     - eig_log_det(U1+^-1 U3+ U2+^-1) ], all under the shared branch rule, so
     check_composition residuals sit at roundoff for every state.
     """
-    return _multiplier(r2, r1, compose(r2, r1))
+    return _element_multiplier(r2, r1, compose(r2, r1))
 
 
-def _multiplier(r2: SymplecticElement, r1: SymplecticElement,
-                r3: SymplecticElement) -> complex:
+def _element_multiplier(r2: SymplecticElement, r1: SymplecticElement,
+                        r3: SymplecticElement) -> complex:
     """multiplier(r2, r1) for a caller that already holds r3 = r2 o r1."""
-    inner = np.linalg.solve(mat_adjoint(r1.U), mat_adjoint(r3.U))
-    inner = np.linalg.solve(mat_adjoint(r2.U).T, inner.T).T
-    log_chi = 0.5 * (log_det_abs_u(r3) - log_det_abs_u(r1)
-                     - log_det_abs_u(r2) - eig_log_det(inner))
-    chi = complex(np.exp(log_chi))
-    if abs(abs(chi) - 1.0) > 1e-10:
+    return _multiplier(r2.U, r1.U, r3.U, log_det_abs_u(r2), log_det_abs_u(r1),
+                       log_det_abs_u(r3))
+
+
+def _multiplier(U2, U1, U3, log_det2, log_det1, log_det3):
+    """chi from the U blocks of r2, r1 and r3 = r2 o r1 and their log det|U|.
+
+    Works over any leading batch axes: stacks (..., d, d) with log-det
+    arrays (...) give an array, single matrices a complex. A stack raises
+    for its first entry that fails eig_log_det, else for its first entry
+    whose modulus deviates from 1 by more than 1e-10 (or by NaN).
+    """
+    inner = np.linalg.solve(mat_adjoint(U1), mat_adjoint(U3))
+    inner = np.linalg.solve(mat_conj(U2),
+                            inner.swapaxes(-1, -2)).swapaxes(-1, -2)
+    log_chi = 0.5 * (log_det3 - log_det1 - log_det2 - eig_log_det(inner))
+    chi = np.exp(log_chi)
+    deviation = np.abs(np.abs(chi) - 1.0)
+    bad = np.flatnonzero(~(deviation <= 1e-10))
+    if bad.size:
         raise InternalInconsistencyError(
-            f"multiplier modulus deviates from 1 by {abs(abs(chi) - 1.0):.3e}")
-    return chi
+            "multiplier modulus deviates from 1 by "
+            f"{deviation.flat[bad[0]]:.3e}")
+    return complex(chi) if np.ndim(chi) == 0 else chi
 
 
 def check_composition(r2: SymplecticElement, r1: SymplecticElement,
@@ -99,7 +114,7 @@ def check_composition(r2: SymplecticElement, r1: SymplecticElement,
     """Residual of T(r2) T(r1) x = multiplier * T(r2 o r1) x."""
     lhs = act(r2, act(r1, x))
     r3 = compose(r2, r1)
-    rhs = scaled(act(r3, x), _multiplier(r2, r1, r3))
+    rhs = scaled(act(r3, x), _element_multiplier(r2, r1, r3))
     return state_residual(lhs, rhs)
 
 

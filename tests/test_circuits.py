@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from gaussfock import circuits, representation as rep, states
+from gaussfock import circuits, representation as rep, states, verify
 from gaussfock import symplectic as sp
 from gaussfock.errors import (
     CircuitSyntaxError,
     DimensionMismatchError,
+    GaussFockError,
+    InternalInconsistencyError,
     ModeOutOfRangeError,
+    SingularMatrixError,
 )
 from gaussfock.linalg import hs_norm
 from gaussfock.serialization import dump_json, encode_symplectic
@@ -160,38 +163,134 @@ def reference_fold(gates, dim):
     return h, element, complex(log_phase)
 
 
+def assert_matches_reference(gates, dim):
+    cc = circuits.compile_circuit(gates, dim)
+    h, element, log_phase = reference_fold(gates, dim)
+    assert np.array_equal(cc.element.U, element.U)
+    assert np.array_equal(cc.element.V, element.V)
+    assert np.array_equal(cc.displacement, h)
+    assert cc.log_phase == log_phase
+
+
+def raised(call, *args):
+    with pytest.raises(GaussFockError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def long_circuit(n_gates):
+    """verify's random d=4 gate lists from default_rng(0), chained."""
+    fold_rng = np.random.default_rng(0)
+    gates = []
+    while len(gates) < n_gates:
+        gates += verify._random_gates(4, fold_rng)
+    return gates[:n_gates]
+
+
 class TestCompileFold:
-    """compile_circuit composes once per gate and matches the plain fold."""
+    """The stacked compile equals the gate-by-gate fold, d = 1..5."""
 
     def test_matches_reference_fold_byte_for_byte(self):
         fold_rng = np.random.default_rng(7070)
         for dim in range(1, 6):
             for _ in range(8):
                 gates = random_gates(fold_rng, dim, lo=5, hi=30)
-                cc = circuits.compile_circuit(gates, dim)
-                h, element, log_phase = reference_fold(gates, dim)
-                assert np.array_equal(cc.element.U, element.U)
-                assert np.array_equal(cc.element.V, element.V)
-                assert np.array_equal(cc.displacement, h)
-                assert cc.log_phase == log_phase
+                assert_matches_reference(gates, dim)
 
-    def test_two_validations_per_symplectic_gate(self, monkeypatch):
-        calls = []
-        make = sp.make_symplectic
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return make(*args, **kwargs)
+class TestStackEdges:
+    """The stacked compile at the edges of the stack, byte for byte."""
 
-        monkeypatch.setattr(sp, "make_symplectic", counting)
-        monkeypatch.setattr(circuits, "make_symplectic", counting)
-        gates = circuits.parse("S(0, 0.3, 0.2)\nD(1, 0.5, 0.1)\n"
-                               "BS(0, 2, 0.4, 0.7)\nR(1, 0.9)\n"
-                               "S(2, -0.2, 1.0)\nD(0, 0.2, 2.0)")
-        circuits.compile_circuit(gates, 3)
-        n_symplectic = sum(g.kind != "D" for g in gates)
-        # one for the starting identity, then the gate element and compose
-        assert len(calls) == 1 + 2 * n_symplectic
+    def test_empty_only_displacements_and_single_gates(self):
+        assert_matches_reference([], 3)
+        assert_matches_reference(circuits.parse(
+            "D(0, 0.4, 0.2)\nD(1, 1.1, -2.0)\nD(0, 0.3, 1.0)"), 2)
+        for text in ["S(1, 0.4, 0.7)", "R(0, 1.3)", "BS(0, 1, 0.6, -0.4)",
+                     "D(1, 0.8, 0.5)"]:
+            assert_matches_reference(circuits.parse(text), 2)
+
+    def test_symp_gates(self, tmp_path):
+        edge_rng = np.random.default_rng(77)
+        gates = random_gates(edge_rng, 3, 10, 11)
+        for k in range(3):
+            path = tmp_path / f"elem{k}.json"
+            dump_json(encode_symplectic(sp.random_element(3, edge_rng, 0.5)),
+                      str(path))
+            gates.insert(3 * k + 1, circuits.Gate("SYMP", (), (), str(path)))
+        assert_matches_reference(gates, 3)
+
+    def test_circuit_then_its_inverse(self):
+        edge_rng = np.random.default_rng(78)
+        gates = random_gates(edge_rng, 4, 80, 81)
+        assert_matches_reference(
+            gates + [inverse_gate(g) for g in reversed(gates)], 4)
+
+
+class TestErrorOrder:
+    """The first failure in (gate, stage) order raises, as gate by gate."""
+
+    def test_multiplier_modulus_on_5000_gates(self):
+        gates = long_circuit(5000)
+        got = raised(circuits.compile_circuit, gates, 4)
+        assert got == raised(reference_fold, gates, 4)
+        assert got == (InternalInconsistencyError,
+                       "multiplier modulus deviates from 1 by 1.242e-10")
+
+    def test_nonfinite_squeeze_after_valid_prefix(self):
+        gates = long_circuit(40) + circuits.parse("S(2, 800, 0)")
+        got = raised(circuits.compile_circuit, gates, 4)
+        assert got == raised(reference_fold, gates, 4)
+        assert got == (GaussFockError, "matrix entries must be finite")
+
+    def test_mode_out_of_range_on_last_gate(self):
+        gates = long_circuit(40) + circuits.parse("R(4, 0.3)")
+        got = raised(circuits.compile_circuit, gates, 4)
+        assert got == raised(reference_fold, gates, 4)
+        assert got[0] is ModeOutOfRangeError
+
+    def test_missing_symp_file_after_50_gates(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        gates = long_circuit(50) + [circuits.Gate("SYMP", (), (), missing)]
+        got = raised(circuits.compile_circuit, gates, 4)
+        assert got == raised(reference_fold, gates, 4)
+        assert got[1].startswith(f"cannot read {missing}")
+
+    def test_nonfinite_displacement(self):
+        gates = long_circuit(30) + circuits.parse("D(1, 1e400, 0)\nR(0, 1)")
+        got = raised(circuits.compile_circuit, gates, 4)
+        assert got == raised(reference_fold, gates, 4)
+        assert got == (GaussFockError, "vector entries must be finite")
+
+    def test_overflowing_displacement_fails_at_the_next_gate(self):
+        # the sum of the two shifts overflows; S checks h after its multiplier
+        gates = circuits.parse("D(0, 1e308, 0)\nD(0, 1e308, 0)\n"
+                               "S(1, 0.3, 0)\nR(0, 0.2)")
+        got = raised(circuits.compile_circuit, gates, 2)
+        with np.errstate(over="ignore"):
+            assert got == raised(reference_fold, gates, 2)
+        assert got == (GaussFockError, "vector entries must be finite")
+
+    @pytest.mark.parametrize(
+        "line", ["S(0, 800, 0)", "R(0, 1e400)", "D(0, 1e400, 0)"])
+    def test_sequential_route_refuses_nonfinite_gates(self, line):
+        with pytest.raises(GaussFockError, match="must be finite"):
+            circuits.run_sequential(circuits.parse(line), 1)
+
+    def test_later_stack_failure_does_not_mask_the_first(self, monkeypatch):
+        # A stacked eig_log_det that fails (as if a later gate were below
+        # the eigenvalue floor) must still give gate 1325's modulus error.
+        gates = long_circuit(1400)
+        real = rep.eig_log_det
+
+        def floor_fails_on_stacks(M):
+            if np.ndim(M) > 2:
+                raise SingularMatrixError("a later gate is below the floor")
+            return real(M)
+
+        monkeypatch.setattr(rep, "eig_log_det", floor_fails_on_stacks)
+        assert raised(circuits.compile_circuit, gates, 4) == (
+            InternalInconsistencyError,
+            "multiplier modulus deviates from 1 by 1.242e-10")
 
 
 class TestRun:

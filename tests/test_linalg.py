@@ -86,6 +86,25 @@ class TestEigLogDet:
             val = eig_log_det(M)
             assert np.exp(val) == pytest.approx(np.linalg.det(M), rel=1e-12)
 
+    def test_stack_entries_equal_single_matrices(self):
+        M = np.eye(4) + 0.4 * random_complex(50, 4, 4)
+        values = eig_log_det(M)
+        norms = operator_norm(M)
+        assert values.shape == norms.shape == (50,)
+        for k in range(50):
+            single = eig_log_det(M[k])
+            assert type(single) is complex
+            assert single == values[k]
+            assert operator_norm(M[k]) == norms[k]
+
+    def test_stack_raises_for_its_first_failing_matrix(self):
+        M = np.array([np.eye(2), np.diag([1.0, 1e-20]), np.diag([1.0, 0.0])])
+        with pytest.raises(SingularMatrixError, match="1.000e-20"):
+            eig_log_det(M)
+        M[1, 0, 0] = np.nan
+        with pytest.raises(GaussFockError, match="must be finite"):
+            eig_log_det(M)
+
     def test_singular_matrix_rejected(self):
         M = np.diag([1.0, 0.0, 2.0]).astype(complex)
         with pytest.raises(SingularMatrixError):

@@ -5,6 +5,7 @@ import pytest
 
 from gaussfock import representation as rep
 from gaussfock import siegel, states, symplectic as sp
+from gaussfock.errors import InternalInconsistencyError
 from gaussfock.linalg import hs_norm, mat_adjoint
 
 rng = np.random.default_rng(31415)
@@ -97,6 +98,24 @@ class TestRayComposition:
         chi = rep.multiplier(r2, r1)
         direct = states.scaled(rep.act(sp.compose(r2, r1), x), chi)
         assert states.state_residual(seq, direct) < 1e-10
+
+    def test_stacked_multiplier_equals_single_pairs(self):
+        d = 3
+        kernel_rng = np.random.default_rng(2718)
+        pairs = [(sp.random_element(d, kernel_rng),
+                  sp.random_element(d, kernel_rng)) for _ in range(50)]
+        factors = (*zip(*pairs), [sp.compose(r2, r1) for r2, r1 in pairs])
+        chi = rep._multiplier(
+            *(np.array([r.U for r in rs]) for rs in factors),
+            *(np.array([sp.log_det_abs_u(r) for r in rs]) for rs in factors))
+        assert chi.shape == (50,)
+        for k, (r2, r1) in enumerate(pairs):
+            assert rep.multiplier(r2, r1) == chi[k]
+
+    def test_nan_modulus_is_refused(self):
+        r = sp.random_element(2, rng)
+        with pytest.raises(InternalInconsistencyError, match="by nan"):
+            rep._multiplier(r.U, r.U, r.U, 0.0, 0.0, float("nan"))
 
     def test_multiplier_identity_has_no_phase(self):
         r = sp.random_element(4, rng)

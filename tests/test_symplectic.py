@@ -174,6 +174,23 @@ class TestLogDetAbsU:
         assert len(calls) == 1
 
 
+class TestOneKernel:
+    """make_symplectic and log det|U| run the stacked kernels' entries."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_stack_entries_equal_single_elements(self, d):
+        kernel_rng = np.random.default_rng(500 + d)
+        elements = [sp.random_element(d, kernel_rng) for _ in range(50)]
+        U = np.array([r.U for r in elements])
+        V = np.array([r.V for r in elements])
+        residuals = sp._constraint_residual(U, V)
+        log_dets = sp._log_det_abs_u(V)
+        for k, r in enumerate(elements):
+            again = sp.make_symplectic(r.U, r.V)
+            assert again.validation_residual == residuals[k]
+            assert sp.log_det_abs_u(again) == log_dets[k]
+
+
 class TestPolarFactorization:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_reconstruction(self, d):
