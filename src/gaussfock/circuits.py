@@ -18,22 +18,21 @@ symplectic merge; run applies the normal form to the vacuum. The sequential
 route (gate by gate on the state) agrees with the normal form including the
 global phase.
 
-compile_circuit works on stacks. It builds the n symplectic gates as
-(n, d, d) stacks Ug, Vg; folds the running products U3 = Ug U1 + Vg V1~,
-V3 = Ug V1 + Vg U1~ with matmuls alone, keeping every product; and then
-runs each check once over the whole stack, with the formulas and
-tolerances of the single-element routes: the constraint residual of every
-gate and every product (make_symplectic's kernel), log det|U| of both, and
-the multiplier of every gate with the product before it. The phase and
-displacement are then folded in gate order. The result is byte for byte the
-gate-by-gate fold through compose and multiplier.
+compile_circuit first runs a stacked pass. It builds the n symplectic
+gates as (n, d, d) stacks Ug, Vg; folds the running products
+U3 = Ug U1 + Vg V1~, V3 = Ug V1 + Vg U1~ with matmuls alone, keeping every
+product; and runs each check once over the whole stack, with the formulas
+and tolerances of the single-element routes: the constraint residual of
+every gate and every product (make_symplectic's kernel), log det|U| of
+both, and the multiplier of every gate with the product before it. The
+phase and displacement are then folded in gate order. The result is byte
+for byte the gate-by-gate fold through compose and multiplier.
 
-A gate-by-gate fold checks gate i in this order: build it (mode range, a
+Only when the stacked pass fails, a build error included, does
+compile_circuit run that gate-by-gate fold, which raises the first failure
+by construction. It checks gate i in this order: build it (mode range, a
 SYMP file, finite entries), validate it, validate its product, evaluate its
-multiplier, then check the displacement it acts on. The stacked fold raises
-the same error for the first failure in (gate, stage) order: each stage
-runs only on the gates before the first failure found so far, and the
-error is raised by the single-element route on the failing entry.
+multiplier, then check the displacement it acts on.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ from .errors import (
     CircuitSyntaxError,
     DimensionMismatchError,
     GaussFockError,
-    InternalInconsistencyError,
     ModeOutOfRangeError,
 )
 from .linalg import as_vector, mat_conj
-from .representation import _multiplier, act
+from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
@@ -60,6 +58,8 @@ from .symplectic import (
     SymplecticElement,
     _constraint_residual,
     _log_det_abs_u,
+    apply,
+    compose,
     identity,
     make_symplectic,
     symplectic_form,
@@ -275,129 +275,81 @@ def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
     return h
 
 
-def _first_false(ok: np.ndarray) -> int:
-    return int(np.argmin(ok)) if not ok.all() else len(ok)
+def _stacked_pass(gates: list[Gate], dim: int,
+                  base_dir: str) -> CompiledCircuit:
+    """The fold over (n, d, d) stacks; any failure raises a GaussFockError."""
+    symp = [gate for gate in gates if gate.kind != "D"]
+    n = len(symp)
+    Ug = np.empty((n, dim, dim), dtype=complex)
+    Vg = np.empty((n, dim, dim), dtype=complex)
+    PU = np.empty((n + 1, dim, dim), dtype=complex)
+    PV = np.empty((n + 1, dim, dim), dtype=complex)
+    PU[0], PV[0] = np.eye(dim), 0.0
+    with np.errstate(all="ignore"):
+        for k, gate in enumerate(symp):
+            Ug[k], Vg[k] = _gate_matrices(gate, dim, base_dir)
+        # PU[k], PV[k] is the product of the first k gates.
+        for k in range(n):
+            PU[k + 1] = Ug[k] @ PU[k] + Vg[k] @ mat_conj(PV[k])
+            PV[k + 1] = Ug[k] @ PV[k] + Vg[k] @ mat_conj(PU[k])
+        if not (all(np.isfinite(A).all() for A in (Ug, Vg, PU, PV))
+                and (_constraint_residual(Ug, Vg) <= DEFAULT_TOL).all()
+                and (_constraint_residual(PU[1:], PV[1:])
+                     <= DEFAULT_TOL).all()):
+            raise GaussFockError("a gate or running product is rejected")
+        log_det_p = _log_det_abs_u(PV)
+        chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg),
+                          log_det_p[:-1], log_det_p[1:])
+        log_chi = iter(np.log(chi))
+        h = np.zeros(dim, dtype=complex)
+        log_phase = 0.0 + 0.0j
+        k = 0
+        for gate in gates:
+            as_vector(h)
+            if gate.kind == "D":
+                hg = _displacement_vector(gate, dim)
+                log_phase += -1j * symplectic_form(hg, h)
+                h = hg + h
+            else:
+                log_phase += next(log_chi)
+                h = Ug[k] @ h + Vg[k] @ np.conj(h)
+                k += 1
+    element = make_symplectic(PU[n], PV[n]) if n else identity(dim)
+    return CompiledCircuit(h, element, complex(log_phase))
 
 
-def _first_rejected(U: np.ndarray, V: np.ndarray) -> int:
-    """Index of the first pair of the stacks make_symplectic rejects, else n.
-
-    The residual runs only on the prefix before the first non-finite pair.
-    """
-    finite = np.isfinite(U).all(axis=(1, 2)) & np.isfinite(V).all(axis=(1, 2))
-    n = _first_false(finite)
-    return _first_false(_constraint_residual(U[:n], V[:n]) <= DEFAULT_TOL)
-
-
-def _raised(check, *args) -> GaussFockError:
-    """The error the single-element route raises where a stack check failed."""
-    try:
-        check(*args)
-    except GaussFockError as exc:
-        return exc
-    raise InternalInconsistencyError(
-        f"{check.__name__} accepts an entry its stacked check rejected")
+def _gate_fold(gates: list[Gate], dim: int, base_dir: str) -> CompiledCircuit:
+    """The fold one gate at a time; it raises the first failure."""
+    h = np.zeros(dim, dtype=complex)
+    element, log_phase = identity(dim), 0.0 + 0.0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gate in gates:
+            if gate.kind == "D":
+                hg = _displacement_vector(gate, dim)
+                log_phase += -1j * symplectic_form(hg, h)
+                h = hg + h
+            else:
+                rg = _gate_element(gate, dim, base_dir)
+                product = compose(rg, element)
+                log_phase += np.log(_element_multiplier(rg, element, product))
+                h, element = apply(rg, h), product
+    return CompiledCircuit(h, element, complex(log_phase))
 
 
 def compile_circuit(gates: list[Gate], dim: int,
                     base_dir: str = ".") -> CompiledCircuit:
     """Fold a gate list into the normal form e^{log_phase} W(h) T(R).
 
-    The stages and the order of their checks are in the module docstring.
+    The stacked pass, the gate-by-gate fold and the order of its checks are
+    in the module docstring.
     """
     if dim < 1:
         raise DimensionMismatchError("circuit dimension must be at least 1")
-    # Each stage runs on the gates before `stop`, the first gate known to
-    # fail, whose error is `error`; a stage that fails earlier moves both.
-    stop, error = len(gates), None
-
-    # 1. Build: mode checks, SYMP files, displacement vectors, gate stacks.
-    n = sum(gate.kind != "D" for gate in gates)
-    Ug = np.empty((n, dim, dim), dtype=complex)
-    Vg = np.empty((n, dim, dim), dtype=complex)
-    where, shifts = [], {}      # gate index of each stack entry; D vectors
-    for i, gate in enumerate(gates):
-        try:
-            if gate.kind == "D":
-                shifts[i] = as_vector(_displacement_vector(gate, dim))
-            else:
-                k = len(where)
-                Ug[k], Vg[k] = _gate_matrices(gate, dim, base_dir)
-                where.append(i)
-        except GaussFockError as exc:
-            stop, error = i, exc
-            break
-    n = len(where)
-    Ug, Vg = Ug[:n], Vg[:n]
-
-    # 2. Validate every gate element.
-    j = _first_rejected(Ug, Vg)
-    if j < n:
-        stop, error, n = where[j], _raised(make_symplectic, Ug[j], Vg[j]), j
-
-    # 3. Fold the running products U1 -> U3 = Ug U1 + Vg V1~, and validate
-    #    each. PU[k], PV[k] is the product of the first k gates.
-    PU = np.empty((n + 1, dim, dim), dtype=complex)
-    PV = np.empty((n + 1, dim, dim), dtype=complex)
-    PU[0], PV[0] = np.eye(dim), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            PU[k + 1] = Ug[k] @ PU[k] + Vg[k] @ mat_conj(PV[k])
-            PV[k + 1] = Ug[k] @ PV[k] + Vg[k] @ mat_conj(PU[k])
-    j = _first_rejected(PU[1:], PV[1:])
-    if j < n:
-        stop, error, n = where[j], _raised(make_symplectic, PU[j + 1],
-                                           PV[j + 1]), j
-
-    # 4. Fold the displacement, and the Weyl phases of the D gates. A gate
-    #    checks its incoming h last, after its multiplier, so a failure here
-    #    keeps a symplectic gate's own multiplier in stage 5.
-    h = np.zeros(dim, dtype=complex)
-    terms = []      # log_phase increments in gate order; None for a chi
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(stop):
-            if not np.isfinite(h).all():
-                stop, error = i, _raised(as_vector, h)
-                n = k + (gates[i].kind != "D")
-                break
-            if i in shifts:
-                terms.append(-1j * symplectic_form(shifts[i], h))
-                h = shifts[i] + h
-            else:
-                h = Ug[k] @ h + Vg[k] @ np.conj(h)
-                terms.append(None)
-                k += 1
-
-    # 5. The multiplier of every gate with its running product.
-    log_det_g = _log_det_abs_u(Vg[:n])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Long after a multiplier fails its modulus check, products can be
-        # too squeezed for eigvalsh to resolve I + VV+: 5000 of verify's
-        # random d=4 gates fail at gate 1325 and reach ||U|| ~ 1e10 near
-        # gate 4000. Those logs come out NaN, silently, behind the gate
-        # that raises first; a NaN before any failure fails its own gate's
-        # modulus check.
-        log_det_p = _log_det_abs_u(PV[:n + 1])
-    args = (Ug[:n], PU[:n], PU[1:n + 1], log_det_g, log_det_p[:n],
-            log_det_p[1:])
     try:
-        chi = _multiplier(*args)
+        return _stacked_pass(gates, dim, base_dir)
     except GaussFockError:
-        # The stack raised its first failing check; replaying gate by gate
-        # raises the first failing gate's, as the sequential fold does.
-        for k in range(n):
-            _multiplier(*(a[k] for a in args))
-        raise
-    if error is not None:
-        raise error
-
-    log_chi = iter(np.log(chi))
-    log_phase = 0.0 + 0.0j
-    for term in terms:
-        log_phase += next(log_chi) if term is None else term
-    element = make_symplectic(PU[n], PV[n]) if n else identity(dim)
-    return CompiledCircuit(h, element, complex(log_phase))
+        pass
+    return _gate_fold(gates, dim, base_dir)
 
 
 def run(gates: list[Gate], dim: int, base_dir: str = ".") -> UltracoherentState:

@@ -71,7 +71,8 @@ class SymplecticElement:
 
     @cached_property
     def log_det_abs_u(self) -> float:
-        """log det|U| = 1/2 sum log eig(I + VV+), computed once per element.
+        """log det|U| = 1/2 sum log(1 + s^2) over the singular values s of V,
+        computed once per element.
 
         U and V are read-only, so the cached value cannot go stale.
         """
@@ -79,9 +80,13 @@ class SymplecticElement:
 
 
 def _log_det_abs_u(V):
-    """log det|U| from V, for one matrix or a stack (..., d, d)."""
-    w = np.linalg.eigvalsh(np.eye(V.shape[-1]) + V @ mat_adjoint(V))
-    return 0.5 * np.sum(np.log(w), axis=-1)
+    """log det|U| from V, for one matrix or a stack (..., d, d).
+
+    The singular values of V keep their relative accuracy where
+    eig(I + VV+) loses the identity once ||V|| passes about 1e8.
+    """
+    s = np.linalg.svd(V, compute_uv=False)
+    return 0.5 * np.sum(np.log1p(s * s), axis=-1)
 
 
 def _constraint_residual(U, V):
@@ -281,7 +286,8 @@ def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
 
 
 def log_det_abs_u(r: SymplecticElement) -> float:
-    """log det|U| = 1/2 sum log eig(I + VV+); real and nonnegative."""
+    """log det|U| = 1/2 sum log(1 + s^2) over the singular values s of V;
+    real and nonnegative."""
     return r.log_det_abs_u
 
 

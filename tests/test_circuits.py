@@ -163,8 +163,14 @@ def reference_fold(gates, dim):
     return h, element, complex(log_phase)
 
 
+def _fold_must_not_run(*args):
+    raise AssertionError("a compile that succeeds must not run the gate fold")
+
+
 def assert_matches_reference(gates, dim):
-    cc = circuits.compile_circuit(gates, dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "_gate_fold", _fold_must_not_run)
+        cc = circuits.compile_circuit(gates, dim)
     h, element, log_phase = reference_fold(gates, dim)
     assert np.array_equal(cc.element.U, element.U)
     assert np.array_equal(cc.element.V, element.V)
@@ -234,7 +240,7 @@ class TestErrorOrder:
         got = raised(circuits.compile_circuit, gates, 4)
         assert got == raised(reference_fold, gates, 4)
         assert got == (InternalInconsistencyError,
-                       "multiplier modulus deviates from 1 by 1.242e-10")
+                       "multiplier modulus deviates from 1 by 2.296e-10")
 
     def test_nonfinite_squeeze_after_valid_prefix(self):
         gates = long_circuit(40) + circuits.parse("S(2, 800, 0)")
@@ -278,8 +284,8 @@ class TestErrorOrder:
 
     def test_later_stack_failure_does_not_mask_the_first(self, monkeypatch):
         # A stacked eig_log_det that fails (as if a later gate were below
-        # the eigenvalue floor) must still give gate 1325's modulus error.
-        gates = long_circuit(1400)
+        # the eigenvalue floor) must still give gate 3112's modulus error.
+        gates = long_circuit(3200)
         real = rep.eig_log_det
 
         def floor_fails_on_stacks(M):
@@ -290,7 +296,7 @@ class TestErrorOrder:
         monkeypatch.setattr(rep, "eig_log_det", floor_fails_on_stacks)
         assert raised(circuits.compile_circuit, gates, 4) == (
             InternalInconsistencyError,
-            "multiplier modulus deviates from 1 by 1.242e-10")
+            "multiplier modulus deviates from 1 by 2.296e-10")
 
 
 class TestRun:
