@@ -18,21 +18,31 @@ symplectic merge; run applies the normal form to the vacuum. The sequential
 route (gate by gate on the state) agrees with the normal form including the
 global phase.
 
-compile_circuit first runs a stacked pass. It builds the n symplectic
-gates as (n, d, d) stacks Ug, Vg; folds the running products
-U3 = Ug U1 + Vg V1~, V3 = Ug V1 + Vg U1~ with matmuls alone, keeping every
-product; and runs each check once over the whole stack, with the formulas
-and tolerances of the single-element routes: the constraint residual of
-every gate and every product (make_symplectic's kernel), log det|U| of
-both, and the multiplier of every gate with the product before it. The
-phase and displacement are then folded in gate order. The result is byte
-for byte the gate-by-gate fold through compose and multiplier.
+compile_circuit first runs a stacked pass. It builds the gates as arrays
+with one fancy-indexed assignment per gate kind (SYMP files load one at a
+time): the n symplectic gates as (n, d, d) stacks Ug, Vg and the D shifts
+as rows. It folds the running products U3 = Ug U1 + Vg V1~,
+V3 = Ug V1 + Vg U1~ with matmuls alone, keeping every product, and runs
+each check once over the whole stack, with the formulas and tolerances of
+the single-element routes: the constraint residual of every gate and every
+product (make_symplectic's kernel), log det|U| of both, and the multiplier
+of every gate with the product before it. The number of stacked checks
+does not grow with the circuit: five stacked SVDs (V of the gates and V
+of the products, each giving both ||V|| and log det|U|; U of the gates and
+of the products; the multiplier matrices, for their norm), two stacked
+solves and one stacked eigvals for the multiplier, then the two SVDs of
+the final make_symplectic. Loading a SYMP file adds the two SVDs of its
+own make_symplectic. The phase and
+displacement are then folded in gate order, and a displacement or phase
+that overflowed anywhere is refused at the end. The result is byte for
+byte the gate-by-gate fold through compose and multiplier.
 
 Only when the stacked pass fails, a build error included, does
 compile_circuit run that gate-by-gate fold, which raises the first failure
 by construction. It checks gate i in this order: build it (mode range, a
 SYMP file, finite entries), validate it, validate its product, evaluate its
-multiplier, then check the displacement it acts on.
+multiplier, then check the displacement it acts on. After the last gate it
+refuses a displacement or phase that is not finite.
 """
 
 from __future__ import annotations
@@ -49,7 +59,6 @@ from .errors import (
     GaussFockError,
     ModeOutOfRangeError,
 )
-from .linalg import as_vector, mat_conj
 from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
@@ -220,102 +229,133 @@ def _check_modes(gate: Gate, dim: int) -> None:
             f"gate {gate} must couple two distinct modes")
 
 
-def _gate_matrices(gate: Gate, dim: int,
-                   base_dir: str) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) of one symplectic gate, not yet validated.
+def _gate_arrays(gates: list[Gate], dim: int, base_dir: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gates as arrays, each in gate order, not yet validated.
 
-    A parameter that overflows leaves a non-finite entry, without a numpy
-    warning, for make_symplectic to refuse with a typed error. A SYMP file
-    is loaded and validated here.
+    Returns the (n, d, d) stacks Ug, Vg of the symplectic gates and the
+    (m, d) shifts of the D gates. The entries of every S, BS and R gate,
+    and of every D gate, are set by one fancy-indexed assignment per kind;
+    a SYMP file is loaded and validated here, one at a time. A parameter
+    that overflows leaves a non-finite entry, without a numpy warning, for
+    the caller to refuse with a typed error. A mode out of range, a bad
+    SYMP file or an unknown kind raises for its gate.
     """
-    _check_modes(gate, dim)
-    if gate.kind == "SYMP":
-        path = gate.source
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        r = decode_symplectic(load_json(path))
-        if r.dim != dim:
-            raise DimensionMismatchError(
-                f"{gate} has dimension {r.dim}, circuit declares {dim}")
-        return r.U, r.V
-    if gate.kind not in ("S", "BS", "R"):
-        raise DimensionMismatchError(f"gate {gate} is not a symplectic gate")
-    U = np.eye(dim, dtype=complex)
-    V = np.zeros((dim, dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if gate.kind == "S":
-            mode, = gate.modes
-            r, phi = gate.params
-            U[mode, mode] = np.cosh(r)
-            V[mode, mode] = np.exp(1j * phi) * np.sinh(r)
-        elif gate.kind == "BS":
-            i, j = gate.modes
-            theta, phi = gate.params
-            U[i, i] = U[j, j] = np.cos(theta)
-            U[i, j] = -np.exp(1j * phi) * np.sin(theta)
-            U[j, i] = np.exp(-1j * phi) * np.sin(theta)
+    rows = {"D": [], "S": [], "BS": [], "R": []}   # (index, *modes, *params)
+    symp = []
+    n = 0
+    for gate in gates:
+        _check_modes(gate, dim)
+        if gate.kind == "D":
+            rows["D"].append((len(rows["D"]),) + gate.modes + gate.params)
+            continue
+        if gate.kind == "SYMP":
+            path = gate.source
+            if not os.path.isabs(path):
+                path = os.path.join(base_dir, path)
+            element = decode_symplectic(load_json(path))
+            if element.dim != dim:
+                raise DimensionMismatchError(
+                    f"{gate} has dimension {element.dim}, circuit declares "
+                    f"{dim}")
+            symp.append((n, element))
+        elif gate.kind in rows:
+            rows[gate.kind].append((n,) + gate.modes + gate.params)
         else:
-            mode, = gate.modes
-            theta, = gate.params
-            U[mode, mode] = np.exp(1j * theta)
-    return U, V
+            raise DimensionMismatchError(
+                f"gate {gate} is not a symplectic gate")
+        n += 1
+    Ug = np.zeros((n, dim, dim), dtype=complex)
+    Ug[:] = np.eye(dim)
+    Vg = np.zeros((n, dim, dim), dtype=complex)
+    h = np.zeros((len(rows["D"]), dim), dtype=complex)
+    for k, element in symp:
+        Ug[k], Vg[k] = element.U, element.V
+    cols = {kind: np.array(rows[kind], dtype=float).T
+            for kind in rows if rows[kind]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "D" in cols:
+            j, mode, r, phi = cols["D"]
+            j, mode = j.astype(int), mode.astype(int)
+            h[j, mode] = r * np.exp(1j * phi)
+        if "S" in cols:
+            k, mode, r, phi = cols["S"]
+            k, mode = k.astype(int), mode.astype(int)
+            Ug[k, mode, mode] = np.cosh(r)
+            Vg[k, mode, mode] = np.exp(1j * phi) * np.sinh(r)
+        if "BS" in cols:
+            k, i, j, theta, phi = cols["BS"]
+            k, i, j = k.astype(int), i.astype(int), j.astype(int)
+            Ug[k, i, i] = Ug[k, j, j] = np.cos(theta)
+            Ug[k, i, j] = -np.exp(1j * phi) * np.sin(theta)
+            Ug[k, j, i] = np.exp(-1j * phi) * np.sin(theta)
+        if "R" in cols:
+            k, mode, theta = cols["R"]
+            k, mode = k.astype(int), mode.astype(int)
+            Ug[k, mode, mode] = np.exp(1j * theta)
+    return Ug, Vg, h
 
 
 def _gate_element(gate: Gate, dim: int, base_dir: str) -> SymplecticElement:
-    return make_symplectic(*_gate_matrices(gate, dim, base_dir))
+    Ug, Vg, _ = _gate_arrays([gate], dim, base_dir)
+    return make_symplectic(Ug[0], Vg[0])
 
 
 def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
-    _check_modes(gate, dim)
-    mode, = gate.modes
-    r, phi = gate.params
-    h = np.zeros(dim, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h[mode] = r * np.exp(1j * phi)
-    return h
+    return _gate_arrays([gate], dim, ".")[2][0]
+
+
+def _refuse_overflow(h: np.ndarray, log_phase) -> None:
+    """Refuse a fold whose displacement h (one row or many) or phase
+    overflowed."""
+    if not (np.isfinite(h).all() and np.isfinite(log_phase)):
+        raise GaussFockError("vector entries must be finite")
 
 
 def _stacked_pass(gates: list[Gate], dim: int,
                   base_dir: str) -> CompiledCircuit:
     """The fold over (n, d, d) stacks; any failure raises a GaussFockError."""
-    symp = [gate for gate in gates if gate.kind != "D"]
-    n = len(symp)
-    Ug = np.empty((n, dim, dim), dtype=complex)
-    Vg = np.empty((n, dim, dim), dtype=complex)
+    Ug, Vg, hd = _gate_arrays(gates, dim, base_dir)
+    n = len(Ug)
     PU = np.empty((n + 1, dim, dim), dtype=complex)
     PV = np.empty((n + 1, dim, dim), dtype=complex)
     PU[0], PV[0] = np.eye(dim), 0.0
     with np.errstate(all="ignore"):
-        for k, gate in enumerate(symp):
-            Ug[k], Vg[k] = _gate_matrices(gate, dim, base_dir)
         # PU[k], PV[k] is the product of the first k gates.
         for k in range(n):
-            PU[k + 1] = Ug[k] @ PU[k] + Vg[k] @ mat_conj(PV[k])
-            PV[k + 1] = Ug[k] @ PV[k] + Vg[k] @ mat_conj(PU[k])
-        if not (all(np.isfinite(A).all() for A in (Ug, Vg, PU, PV))
-                and (_constraint_residual(Ug, Vg) <= DEFAULT_TOL).all()
-                and (_constraint_residual(PU[1:], PV[1:])
+            PU[k + 1] = Ug[k] @ PU[k] + Vg[k] @ np.conj(PV[k])
+            PV[k + 1] = Ug[k] @ PV[k] + Vg[k] @ np.conj(PU[k])
+        if not all(np.isfinite(A).all() for A in (Ug, Vg, PU, PV)):
+            raise GaussFockError("a gate or running product is rejected")
+        # One SVD of V per stack serves the residual and log det|U|.
+        s_gates = np.linalg.svd(Vg, compute_uv=False)
+        s_prods = np.linalg.svd(PV, compute_uv=False)
+        if not ((_constraint_residual(Ug, Vg, s_gates) <= DEFAULT_TOL).all()
+                and (_constraint_residual(PU[1:], PV[1:], s_prods[1:])
                      <= DEFAULT_TOL).all()):
             raise GaussFockError("a gate or running product is rejected")
-        log_det_p = _log_det_abs_u(PV)
-        chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg),
+        log_det_p = _log_det_abs_u(PV, s_prods)
+        chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg, s_gates),
                           log_det_p[:-1], log_det_p[1:])
         log_chi = iter(np.log(chi))
-        h = np.zeros(dim, dtype=complex)
+        shifts = iter(hd)
+        hs = np.empty((len(gates) + 1, dim), dtype=complex)
+        hs[0] = 0.0
         log_phase = 0.0 + 0.0j
         k = 0
-        for gate in gates:
-            as_vector(h)
+        for i, gate in enumerate(gates):
+            h = hs[i]
             if gate.kind == "D":
-                hg = _displacement_vector(gate, dim)
-                log_phase += -1j * symplectic_form(hg, h)
-                h = hg + h
+                hg = next(shifts)
+                log_phase += -1j * np.vdot(hg, h).imag
+                hs[i + 1] = hg + h
             else:
                 log_phase += next(log_chi)
-                h = Ug[k] @ h + Vg[k] @ np.conj(h)
+                hs[i + 1] = Ug[k] @ h + Vg[k] @ np.conj(h)
                 k += 1
+    _refuse_overflow(hs, log_phase)
     element = make_symplectic(PU[n], PV[n]) if n else identity(dim)
-    return CompiledCircuit(h, element, complex(log_phase))
+    return CompiledCircuit(hs[-1], element, complex(log_phase))
 
 
 def _gate_fold(gates: list[Gate], dim: int, base_dir: str) -> CompiledCircuit:
@@ -333,6 +373,7 @@ def _gate_fold(gates: list[Gate], dim: int, base_dir: str) -> CompiledCircuit:
                 product = compose(rg, element)
                 log_phase += np.log(_element_multiplier(rg, element, product))
                 h, element = apply(rg, h), product
+    _refuse_overflow(h, log_phase)
     return CompiledCircuit(h, element, complex(log_phase))
 
 

@@ -74,23 +74,29 @@ class SymplecticElement:
         """log det|U| = 1/2 sum log(1 + s^2) over the singular values s of V,
         computed once per element.
 
-        U and V are read-only, so the cached value cannot go stale.
+        make_symplectic fills it from the SVD of V it validates with. U and
+        V are read-only, so the cached value cannot go stale.
         """
         return float(_log_det_abs_u(self.V))
 
 
-def _log_det_abs_u(V):
+def _log_det_abs_u(V, s=None):
     """log det|U| from V, for one matrix or a stack (..., d, d).
 
-    The singular values of V keep their relative accuracy where
-    eig(I + VV+) loses the identity once ||V|| passes about 1e8.
+    s, if given, holds the singular values of V, from an SVD the caller
+    already took. The singular values of V keep their relative accuracy
+    where eig(I + VV+) loses the identity once ||V|| passes about 1e8.
     """
-    s = np.linalg.svd(V, compute_uv=False)
+    if s is None:
+        s = np.linalg.svd(V, compute_uv=False)
     return 0.5 * np.sum(np.log1p(s * s), axis=-1)
 
 
-def _constraint_residual(U, V):
+def _constraint_residual(U, V, s=None):
     """Scaled residual of the group constraints, over any leading batch axes.
+
+    s, if given, holds the singular values of V, so that ||V|| needs no SVD
+    of its own; the residual is the same to the bit.
 
     Residuals are scaled by (1 + ||U||^2) for the Hermitian constraints and
     (1 + ||U|| ||V||) for the symmetry constraints, so elements with large
@@ -99,7 +105,8 @@ def _constraint_residual(U, V):
     """
     eye = np.eye(U.shape[-1])
     Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
-    nu, nv = operator_norm(U), operator_norm(V)
+    nu = operator_norm(U)
+    nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
     herm_scale = 1.0 + nu * nu
     sym_scale = 1.0 + nu * nv
 
@@ -121,10 +128,12 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
 
     The scaled residual is _constraint_residual's; the stacked circuit
     compile checks every gate and running product with the same kernel.
+    One SVD of V gives both ||V|| for the residual and log det|U|.
     """
     U = as_matrix(U)
     V = as_matrix(V, U.shape[0])
-    residual = float(_constraint_residual(U, V))
+    s = np.linalg.svd(V, compute_uv=False)
+    residual = float(_constraint_residual(U, V, s))
     if not residual <= tol:
         raise ConstraintViolationError(
             f"symplectic constraints violated: scaled residual {residual:.3e}"
@@ -133,7 +142,9 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     V = V.copy()
     U.flags.writeable = False
     V.flags.writeable = False
-    return SymplecticElement(U, V, residual)
+    element = SymplecticElement(U, V, residual)
+    element.__dict__["log_det_abs_u"] = float(_log_det_abs_u(V, s))
+    return element
 
 
 def identity(dim: int) -> SymplecticElement:

@@ -231,6 +231,31 @@ class TestStackEdges:
         assert_matches_reference(
             gates + [inverse_gate(g) for g in reversed(gates)], 4)
 
+    def test_only_passive_gates(self):
+        # every V is 0, so the stacked pass takes no SVD of the gates' V
+        gates = passive_gates(np.random.default_rng(79), 3, 60)
+        assert_matches_reference(gates, 3)
+
+    def test_squeeze_of_zero_strength(self):
+        assert_matches_reference(circuits.parse(
+            "S(1, 0, 0.7)\nS(0, 0.3, 1.1)\nS(0, 0.0, -2.0)\nD(1, 0.5, 0.2)"),
+            2)
+
+    def test_passive_symp_file(self, tmp_path):
+        edge_rng = np.random.default_rng(80)
+        path = tmp_path / "passive.json"
+        K = np.linalg.qr(edge_rng.normal(size=(3, 3))
+                         + 1j * edge_rng.normal(size=(3, 3)))[0]
+        dump_json(encode_symplectic(sp.from_unitary(K)), str(path))
+        gates = random_gates(edge_rng, 3, 12, 13)
+        gates.insert(5, circuits.Gate("SYMP", (), (), str(path)))
+        assert_matches_reference(gates, 3)
+
+    def test_one_squeeze_among_passive_gates(self):
+        gates = passive_gates(np.random.default_rng(81), 4, 80)
+        gates.insert(37, circuits.Gate("S", (2,), (0.45, -1.3)))
+        assert_matches_reference(gates, 4)
+
 
 class TestErrorOrder:
     """The first failure in (gate, stage) order raises, as gate by gate."""
@@ -276,6 +301,18 @@ class TestErrorOrder:
             assert got == raised(reference_fold, gates, 2)
         assert got == (GaussFockError, "vector entries must be finite")
 
+    @pytest.mark.parametrize("text, dim", [
+        ("D(0, 1e308, 0)\nD(0, 1e308, 0)", 1),    # the shift overflows
+        ("D(0, 1e200, 0)\nD(0, 1e200, 1)", 1),    # the phase overflows
+        ("R(0, 0.3)\nD(1, 1e308, 0)\nBS(0, 1, 0.2, 0)\nD(1, 1e308, 0)", 2),
+    ])
+    def test_overflow_after_the_last_gate_is_refused(self, text, dim):
+        gates = circuits.parse(text)
+        for route in (circuits.compile_circuit, circuits._stacked_pass,
+                      circuits._gate_fold):
+            assert raised(route, gates, dim, ".") == (
+                GaussFockError, "vector entries must be finite")
+
     @pytest.mark.parametrize(
         "line", ["S(0, 800, 0)", "R(0, 1e400)", "D(0, 1e400, 0)"])
     def test_sequential_route_refuses_nonfinite_gates(self, line):
@@ -297,6 +334,23 @@ class TestErrorOrder:
         assert raised(circuits.compile_circuit, gates, 4) == (
             InternalInconsistencyError,
             "multiplier modulus deviates from 1 by 2.296e-10")
+
+
+class TestCallBudget:
+    def test_svd_calls_of_a_compile(self, monkeypatch):
+        # Five stacked SVDs: V of the gates and V of the products
+        # (each giving both ||V|| and log det|U|), U of the gates and of
+        # the products, and the multiplier's ||M||; then U and V of the
+        # final product in make_symplectic.
+        gates = long_circuit(150)
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda A, *a, **k: shapes.append(np.ndim(A))
+                            or svd(A, *a, **k))
+        monkeypatch.setattr(circuits, "_gate_fold", _fold_must_not_run)
+        circuits.compile_circuit(gates, 4)
+        assert sorted(shapes) == [2, 2, 3, 3, 3, 3, 3]
 
 
 class TestRun:
@@ -368,6 +422,12 @@ def random_gates(rng, dim, lo=2, hi=7):
                                        (float(rng.uniform(-1.2, 1.2)),
                                         float(rng.uniform(-np.pi, np.pi)))))
     return gates
+
+
+def passive_gates(gen, dim, n):
+    """n random R and BS gates."""
+    gates = random_gates(gen, dim, 4 * n, 4 * n + 1)
+    return [g for g in gates if g.kind in ("R", "BS")][:n]
 
 
 def inverse_gate(g):

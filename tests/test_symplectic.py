@@ -164,14 +164,19 @@ class TestLogDetAbsU:
             assert sp.log_det_abs_u(r) == float(0.5 * np.sum(np.log1p(s * s)))
 
     def test_computed_once_per_element(self, monkeypatch):
+        # make_symplectic takes one SVD of U (for ||U||) and one of V, which
+        # gives both ||V|| and log det|U|; reading it takes none.
         r = sp.random_element(3, rng)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
-        first = sp.log_det_abs_u(r)
-        assert sp.log_det_abs_u(r) == first == r.log_det_abs_u
-        assert len(calls) == 1
+        again = sp.make_symplectic(r.U, r.V)
+        assert len(calls) == 2
+        first = sp.log_det_abs_u(again)
+        assert sp.log_det_abs_u(again) == first == again.log_det_abs_u
+        assert len(calls) == 2
+        assert first == sp._log_det_abs_u(r.V)
 
     def test_finite_next_to_a_large_squeeze(self):
         # ||V|| = sinh(20) ~ 2.4e8: eig(I + VV+) lost the identity and gave
@@ -209,6 +214,21 @@ class TestOneKernel:
             again = sp.make_symplectic(r.U, r.V)
             assert again.validation_residual == residuals[k]
             assert sp.log_det_abs_u(again) == log_dets[k]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_handed_in_singular_values_change_no_bit(self, d):
+        kernel_rng = np.random.default_rng(500 + d)
+        elements = [sp.random_element(d, kernel_rng) for _ in range(50)]
+        U = np.array([r.U for r in elements])
+        V = np.array([r.V for r in elements])
+        s = np.linalg.svd(V, compute_uv=False)
+        assert np.array_equal(sp._constraint_residual(U, V, s),
+                              sp._constraint_residual(U, V))
+        assert np.array_equal(sp._log_det_abs_u(V, s), sp._log_det_abs_u(V))
+        for r in elements:
+            assert r.log_det_abs_u == sp._log_det_abs_u(r.V)
+            assert (sp.SymplecticElement(r.U, r.V, 0.0).log_det_abs_u
+                    == r.log_det_abs_u)
 
 
 class TestPolarFactorization:
