@@ -84,11 +84,18 @@ __all__ = [
     "run_sequential",
 ]
 
-_GATE_ARITY = {"D": 3, "S": 3, "BS": 4, "R": 2, "SYMP": 1}
-_INT_ARGS = {"D": 1, "S": 1, "BS": 2, "R": 1, "SYMP": 0}
+# (mode arguments, parameters) per gate kind; SYMP's one parameter is its
+# quoted file name.
+_GATE_ARGS = {"D": (1, 2), "S": (1, 2), "BS": (2, 2), "R": (1, 1),
+              "SYMP": (0, 1)}
 
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z]+")
+# A gate line is a head, then one argument at a time, then a tail. Each
+# pattern always matches, and each piece after a blank run is optional, so
+# where a piece is missing, the match ends at the column where it was due.
+_HEAD = re.compile(r"[ \t]*(?:([A-Za-z]+)[ \t]*(\()?)?")
+_ARG = re.compile(r'[ \t]*(?:([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?'
+                  r'|"[^"]*")[ \t]*([,)])?)?')
+_TAIL = re.compile(r"[ \t]*;?[ \t]*(?:#.*)?")
 
 
 @dataclass(frozen=True)
@@ -116,56 +123,11 @@ class CompiledCircuit:
     log_phase: complex
 
 
-class _LineParser:
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def error(self, message: str):
-        raise CircuitSyntaxError(self.lineno, self.pos + 1, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text) or self.text[self.pos] == "#"
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of line"
-            self.error(f"expected '{ch}', found {found!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            self.error("expected a gate name")
-        self.pos = m.end()
-        return m.group()
-
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            self.error("expected a number")
-        self.pos = m.end()
-        return float(m.group())
-
-    def string(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            self.error("expected a quoted file name")
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
-            self.error("unterminated string")
-        value = self.text[self.pos + 1:end]
-        self.pos = end + 1
-        return value
+def _expected(lineno: int, raw: str, pos: int, what: str
+              ) -> CircuitSyntaxError:
+    found = repr(raw[pos]) if pos < len(raw) else "end of line"
+    return CircuitSyntaxError(lineno, pos + 1,
+                              f"expected {what}, found {found}")
 
 
 def parse(text: str) -> list[Gate]:
@@ -176,40 +138,54 @@ def parse(text: str) -> list[Gate]:
     """
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        lp = _LineParser(raw, lineno)
-        if lp.at_end():
-            continue
-        kind = lp.name().upper()
-        if kind not in _GATE_ARITY:
-            lp.error(f"unknown gate '{kind}'")
-        lp.expect("(")
+        head = _HEAD.match(raw)
+        pos = head.end()
+        if head[1] is None:
+            if pos == len(raw) or raw[pos] == "#":
+                continue
+            raise _expected(lineno, raw, pos, "a gate name")
+        kind = head[1].upper()
+        if kind not in _GATE_ARGS:
+            raise CircuitSyntaxError(lineno, head.end(1) + 1,
+                                     f"unknown gate '{kind}'")
+        if head[2] is None:
+            raise _expected(lineno, raw, pos, "'('")
+        n_modes, n_params = _GATE_ARGS[kind]
+        args = []
+        for k in range(n_modes + n_params, 0, -1):
+            arg = _ARG.match(raw, pos)
+            value = arg[1]
+            if value is None or (value[0] == '"') != (kind == "SYMP"):
+                pos = arg.start(1) if value else arg.end()
+                if kind != "SYMP":
+                    raise _expected(lineno, raw, pos, "a number")
+                if raw.startswith('"', pos):
+                    raise CircuitSyntaxError(lineno, pos + 1,
+                                             "unterminated string")
+                raise _expected(lineno, raw, pos, "a quoted file name")
+            sep = "," if k > 1 else ")"
+            if arg[2] != sep:
+                pos = arg.start(2) if arg[2] else arg.end()
+                raise _expected(lineno, raw, pos, f"'{sep}'")
+            args.append(value)
+            pos = arg.end()
         if kind == "SYMP":
-            source = lp.string()
-            lp.expect(")")
-            gate = Gate("SYMP", (), (), source)
+            gate = Gate("SYMP", (), (), args[0][1:-1])
         else:
-            args = []
-            for k in range(_GATE_ARITY[kind]):
-                if k:
-                    lp.expect(",")
-                args.append(lp.number())
-            lp.expect(")")
-            n_int = _INT_ARGS[kind]
-            modes = []
-            for v in args[:n_int]:
-                if v != int(v):
+            values = [float(v) for v in args]
+            for v in values[:n_modes]:
+                if not v.is_integer():
                     raise ModeOutOfRangeError(
                         f"line {lineno}: mode index must be an integer, got {v}")
                 if v < 0:
                     raise ModeOutOfRangeError(
                         f"line {lineno}: mode index must be nonnegative, got {int(v)}")
-                modes.append(int(v))
-            gate = Gate(kind, tuple(modes), tuple(args[n_int:]))
-        lp.skip_ws()
-        if lp.pos < len(lp.text) and lp.text[lp.pos] == ";":
-            lp.pos += 1
-        if not lp.at_end():
-            lp.error("unexpected trailing input")
+            gate = Gate(kind, tuple(int(v) for v in values[:n_modes]),
+                        tuple(values[n_modes:]))
+        tail = _TAIL.match(raw, pos).end()
+        if tail < len(raw):
+            raise CircuitSyntaxError(lineno, tail + 1,
+                                     "unexpected trailing input")
         gates.append(gate)
     return gates
 

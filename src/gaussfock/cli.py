@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -165,7 +166,6 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         raise GaussFockError(f"cannot read circuit file: {exc}") from exc
     gates = circuits.parse(text)
-    import os
     base = os.path.dirname(os.path.abspath(args.circuit))
     if args.normal_form:
         cc = circuits.compile_circuit(gates, args.dim, base_dir=base)
@@ -191,25 +191,22 @@ def _cmd_verify(args) -> int:
     results = ver.run_suites(names, args.seed, args.trials, args.tol)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in results)
-    fmt = args.format or "text"
-    if fmt == "json":
-        payload = {
-            "passed": ok,
-            "elapsed_seconds": elapsed,
-            "checks": [{"suite": r.suite, "name": r.name,
-                        "residual": r.residual, "tol": r.tol,
-                        "passed": r.passed} for r in results],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        width = max(len(f"{r.suite}: {r.name}") for r in results)
-        for r in results:
-            tag = "pass" if r.passed else "FAIL"
-            print(f"[{tag}] {r.suite}: {r.name:<{width - len(r.suite) - 2}}"
-                  f"  residual {r.residual:.3e}  (tol {r.tol:.1e})")
-        print(f"{'ok' if ok else 'FAILED'}: {sum(r.passed for r in results)}"
-              f"/{len(results)} checks in {elapsed:.1f} s")
+    payload = {
+        "passed": ok,
+        "elapsed_seconds": elapsed,
+        "checks": [{"suite": r.suite, "name": r.name,
+                    "residual": r.residual, "tol": r.tol,
+                    "passed": r.passed} for r in results],
+    }
+    width = max(len(f"{r.suite}: {r.name}") for r in results)
+    lines = [f"[{'pass' if r.passed else 'FAIL'}] {r.suite}: "
+             f"{r.name:<{width - len(r.suite) - 2}}"
+             f"  residual {r.residual:.3e}  (tol {r.tol:.1e})"
+             for r in results]
+    lines.append(f"{'ok' if ok else 'FAILED'}: "
+                 f"{sum(r.passed for r in results)}/{len(results)} checks "
+                 f"in {elapsed:.1f} s")
+    _emit(payload, lines, args.format or "text")
     return 0 if ok else 1
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, SingularMatrixError
 from .linalg import as_vector, eig_log_det, mat_adjoint, mat_conj
 from .siegel import moebius
 from .states import (
@@ -92,12 +92,17 @@ def _multiplier(U2, U1, U3, log_det2, log_det1, log_det3):
 
     Works over any leading batch axes: stacks (..., d, d) with log-det
     arrays (...) give an array, single matrices a complex. A stack raises
+    SingularMatrixError if a U1 or U2 in it is numerically singular, else
     for its first entry that fails eig_log_det, else for its first entry
     whose modulus deviates from 1 by more than 1e-10 (or by NaN).
     """
-    inner = np.linalg.solve(mat_adjoint(U1), mat_adjoint(U3))
-    inner = np.linalg.solve(mat_conj(U2),
-                            inner.swapaxes(-1, -2)).swapaxes(-1, -2)
+    try:
+        inner = np.linalg.solve(mat_adjoint(U1), mat_adjoint(U3))
+        inner = np.linalg.solve(mat_conj(U2),
+                                inner.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"multiplier: U block is singular ({exc})") from exc
     log_chi = 0.5 * (log_det3 - log_det1 - log_det2 - eig_log_det(inner))
     chi = np.exp(log_chi)
     deviation = np.abs(np.abs(chi) - 1.0)

@@ -94,6 +94,51 @@ class TestParse:
     def test_pretty_of_empty(self):
         assert circuits.pretty([]) == ""
 
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("R(0, 1.0)\n  3(0, 1.0)", 2, 3, "expected a gate name, found '3'"),
+        ("R(0, 1.0)\n\n  XY (0, 1)", 3, 5, "unknown gate 'XY'"),
+        ("R 0, 1.0)", 1, 3, "expected '(', found '0'"),
+        ("D(0, 1.0)", 1, 9, "expected ',', found ')'"),
+        ("D(0, 1.0", 1, 9, "expected ',', found end of line"),
+        ("R(0, 1.0, 2.0)", 1, 9, "expected ')', found ','"),
+        ("S(0,  x, 0)", 1, 7, "expected a number, found 'x'"),
+        ("D(0, 1e, 0)", 1, 7, "expected ',', found 'e'"),
+        ('D(0, "x", 1)', 1, 6, "expected a number, found '\"'"),
+        ("SYMP( a.json)", 1, 7, "expected a quoted file name, found 'a'"),
+        ('SYMP( "a.json', 1, 7, "unterminated string"),
+        ('SYMP("a", 1)', 1, 9, "expected ')', found ','"),
+        ("S(0, 1.0, 2.0 # c", 1, 15, "expected ')', found '#'"),
+        ("R(0, 1.0) x", 1, 11, "unexpected trailing input"),
+        ("R(0, 1.0) ; ;", 1, 13, "unexpected trailing input"),
+    ])
+    def test_error_position(self, text, line, col, message):
+        with pytest.raises(CircuitSyntaxError) as err:
+            circuits.parse(text)
+        assert (type(err.value), err.value.line, err.value.col) == (
+            CircuitSyntaxError, line, col)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("BS(0, 1.5, 0.1, 0.2)", "line 1: mode index must be an integer, "
+                                 "got 1.5"),
+        ("\nR(-2, 1.0)", "line 2: mode index must be nonnegative, got -2"),
+        ("R(1e999, 0.5)", "line 1: mode index must be an integer, got inf"),
+    ])
+    def test_mode_error(self, text, message):
+        with pytest.raises(ModeOutOfRangeError) as err:
+            circuits.parse(text)
+        assert str(err.value) == message
+
+    def test_pretty_round_trip_of_random_gates(self):
+        trip_rng = np.random.default_rng(1313)
+        for k in range(200):
+            gates = verify._random_gates(int(trip_rng.integers(1, 6)),
+                                         trip_rng)
+            gates += [verify._inverse_gate(g) for g in reversed(gates)]
+            gates.insert(int(trip_rng.integers(0, len(gates) + 1)),
+                         circuits.Gate("SYMP", (), (), f"dir/elem {k}.json"))
+            assert circuits.parse(circuits.pretty(gates)) == gates
+
 
 class TestCompile:
     def test_empty_circuit_is_identity(self):
@@ -319,6 +364,16 @@ class TestErrorOrder:
         with pytest.raises(GaussFockError, match="must be finite"):
             circuits.run_sequential(circuits.parse(line), 1)
 
+    def test_singular_running_product_gives_the_fold_error(self):
+        # Squeezes up to |r| = 24 make a running product numerically
+        # singular; the stacked multiplier's solve must raise a typed error
+        # so that the gate-by-gate fold reports the first failure.
+        dim, gates = large_squeeze_circuit(24)
+        got = raised(circuits.compile_circuit, gates, dim)
+        assert got == raised(reference_fold, gates, dim)
+        assert got[0] is InternalInconsistencyError
+        assert got[1].startswith("multiplier modulus deviates from 1 by")
+
     def test_later_stack_failure_does_not_mask_the_first(self, monkeypatch):
         # A stacked eig_log_det that fails (as if a later gate were below
         # the eigenvalue floor) must still give gate 3112's modulus error.
@@ -422,6 +477,29 @@ def random_gates(rng, dim, lo=2, hi=7):
                                        (float(rng.uniform(-1.2, 1.2)),
                                         float(rng.uniform(-np.pi, np.pi)))))
     return gates
+
+
+def large_squeeze_circuit(seed):
+    """d = 1..5 and 20-120 gates: D with r in [0, 1), S with |r| < 24, R
+    and BS, every phase in [-3, 3)."""
+    gen = np.random.default_rng(seed)
+    dim, n = int(gen.integers(1, 6)), int(gen.integers(20, 121))
+    kinds = ["D", "S", "R"] + (["BS"] if dim >= 2 else [])
+    gates = []
+    for _ in range(n):
+        kind = kinds[int(gen.integers(0, len(kinds)))]
+        modes = (int(gen.integers(0, dim)),)
+        if kind == "D":
+            params = (gen.uniform(0, 1), gen.uniform(-3, 3))
+        elif kind == "S":
+            params = (gen.uniform(-24, 24), gen.uniform(-3, 3))
+        elif kind == "R":
+            params = (gen.uniform(-3, 3),)
+        else:
+            modes += (int((modes[0] + 1 + gen.integers(0, dim - 1)) % dim),)
+            params = (gen.uniform(-3, 3), gen.uniform(-3, 3))
+        gates.append(circuits.Gate(kind, modes, tuple(map(float, params))))
+    return dim, gates
 
 
 def passive_gates(gen, dim, n):

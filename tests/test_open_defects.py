@@ -14,7 +14,9 @@ import pytest
 
 from gaussfock import circuits, representation as rep, serialization as ser
 from gaussfock import states, verify
+from gaussfock import symplectic as sp
 from gaussfock.errors import (ConstraintViolationError,
+                              FactorizationFailureError,
                               InternalInconsistencyError)
 
 DATA = Path(__file__).parent / "data"
@@ -83,3 +85,22 @@ def test_single_mode_circuit_then_its_inverse():
 def test_norm_near_disc_boundary():
     out = circuits.run(circuits.parse("S(0,10,0)"), 1)
     assert abs(states.norm(out) - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True, raises=FactorizationFailureError,
+    reason="polar_factorize takes K1 and the squeeze parameters from "
+           "eigh(VV+); beside a squeeze of 10, 0.01 comes out as 0.0099998, "
+           "K2 misses unitarity by 6e-9 to 2e-8, and the factors do not "
+           "recompose (20 of 20 draws)")
+def test_polar_factorize_with_a_large_squeeze_beside_small_ones():
+    rng = np.random.default_rng(5)
+    squeeze = sp.squeeze(np.diag([10.0, 3.0, 0.5, 0.01]))
+    for _ in range(20):
+        K1 = sp.random_element(4, rng, squeeze_scale=0.0).U
+        K2 = sp.random_element(4, rng, squeeze_scale=0.0).U
+        r = sp.compose(sp.from_unitary(K1),
+                       sp.compose(squeeze, sp.from_unitary(K2)))
+        with _recorded_failure("factors do not recompose: matrix is not "
+                               "unitary", FactorizationFailureError):
+            sp.polar_factorize(r)
