@@ -21,21 +21,24 @@ global phase.
 compile_circuit first runs a stacked pass. It builds the gates as arrays
 with one fancy-indexed assignment per gate kind (SYMP files load one at a
 time): the n symplectic gates as (n, d, d) stacks Ug, Vg and the D shifts
-as rows. It folds the running products U3 = Ug U1 + Vg V1~,
-V3 = Ug V1 + Vg U1~ with matmuls alone, keeping every product, and runs
-each check once over the whole stack, with the formulas and tolerances of
-the single-element routes: the constraint residual of every gate and every
-product (make_symplectic's kernel), log det|U| of both, and the multiplier
-of every gate with the product before it. The number of stacked checks
-does not grow with the circuit: five stacked SVDs (V of the gates and V
-of the products, each giving both ||V|| and log det|U|; U of the gates and
-of the products; the multiplier matrices, for their norm), two stacked
-solves and one stacked eigvals for the multiplier, then the two SVDs of
-the final make_symplectic. Loading a SYMP file adds the two SVDs of its
-own make_symplectic. The phase and
-displacement are then folded in gate order, and a displacement or phase
-that overflowed anywhere is refused at the end. The result is byte for
-byte the gate-by-gate fold through compose and multiplier.
+as rows. It folds the running products (U3, V3) = Ug (U1, V1) +
+Vg (V1~, U1~) with one (2, d, d) update per gate, keeping every product,
+and runs each check once over the whole stack, with the formulas and
+decisions of the single-element routes: the constraints of every gate and
+every product (make_symplectic's kernel), log det|U| of both, and the
+multiplier of every gate with the product before it. The number of
+stacked checks does not grow with the circuit: two stacked SVDs (V of the
+gates and V of the products, each giving both ||V|| and log det|U|), two
+stacked solves and one stacked eigvals for the multiplier, then the two
+SVDs of the final make_symplectic. The norms that only scale a pass/fail
+test are taken only where they could change it: ||U|| for the gates and
+products whose unscaled constraint defect exceeds the tolerance (one more
+stacked SVD, over those alone), and the multiplier's ||M|| only if
+||M||_F does not clear its floor. Loading a SYMP file adds the two SVDs
+of its own make_symplectic. The phase and displacement are then folded in
+gate order, and a displacement or phase that overflowed anywhere is
+refused at the end. The result is byte for byte the gate-by-gate fold
+through compose and multiplier.
 
 Only when the stacked pass fails, a build error included, does
 compile_circuit run that gate-by-gate fold, which raises the first failure
@@ -63,9 +66,8 @@ from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
-    DEFAULT_TOL,
     SymplecticElement,
-    _constraint_residual,
+    _constraints_hold,
     _log_det_abs_u,
     apply,
     compose,
@@ -293,22 +295,21 @@ def _stacked_pass(gates: list[Gate], dim: int,
     """The fold over (n, d, d) stacks; any failure raises a GaussFockError."""
     Ug, Vg, hd = _gate_arrays(gates, dim, base_dir)
     n = len(Ug)
-    PU = np.empty((n + 1, dim, dim), dtype=complex)
-    PV = np.empty((n + 1, dim, dim), dtype=complex)
-    PU[0], PV[0] = np.eye(dim), 0.0
+    # P[k] = (U, V) of the product of the first k gates.
+    P = np.empty((n + 1, 2, dim, dim), dtype=complex)
+    P[0, 0], P[0, 1] = np.eye(dim), 0.0
     with np.errstate(all="ignore"):
-        # PU[k], PV[k] is the product of the first k gates.
-        for k in range(n):
-            PU[k + 1] = Ug[k] @ PU[k] + Vg[k] @ np.conj(PV[k])
-            PV[k + 1] = Ug[k] @ PV[k] + Vg[k] @ np.conj(PU[k])
-        if not all(np.isfinite(A).all() for A in (Ug, Vg, PU, PV)):
+        for k, (ug, vg) in enumerate(zip(Ug, Vg)):
+            p = P[k]
+            np.add(ug @ p, vg @ np.conj(p[::-1]), out=P[k + 1])
+        PU, PV = P[:, 0], P[:, 1]
+        if not all(np.isfinite(A).all() for A in (Ug, Vg, P)):
             raise GaussFockError("a gate or running product is rejected")
-        # One SVD of V per stack serves the residual and log det|U|.
+        # One SVD of V per stack serves the constraints and log det|U|.
         s_gates = np.linalg.svd(Vg, compute_uv=False)
         s_prods = np.linalg.svd(PV, compute_uv=False)
-        if not ((_constraint_residual(Ug, Vg, s_gates) <= DEFAULT_TOL).all()
-                and (_constraint_residual(PU[1:], PV[1:], s_prods[1:])
-                     <= DEFAULT_TOL).all()):
+        if not (_constraints_hold(Ug, Vg, s_gates).all()
+                and _constraints_hold(PU[1:], PV[1:], s_prods[1:]).all()):
             raise GaussFockError("a gate or running product is rejected")
         log_det_p = _log_det_abs_u(PV, s_prods)
         chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg, s_gates),

@@ -120,6 +120,11 @@ def eig_log_det(M):
     eigenvalue of modulus below 1e-12 * ||M||, for which no continuous branch
     can be chosen.
 
+    ||M|| <= ||M||_F, so a matrix whose smallest modulus is at least
+    2e-12 * ||M||_F passes without an SVD; the factor 2 outweighs the
+    rounding of both norms. Only when some matrix does not pass this way
+    is ||M|| taken, and then it decides.
+
     A square matrix gives a complex. A stack (..., d, d) gives an array of
     the same sums from one LAPACK call, and the first matrix of the stack
     that fails raises its error.
@@ -128,11 +133,14 @@ def eig_log_det(M):
     w = np.linalg.eigvals(M)
     if w.shape[-1]:
         small = np.abs(w).min(axis=-1)
-        below = small < 1e-12 * np.maximum(operator_norm(M), 1e-300)
-        if below.any():
-            raise SingularMatrixError(
-                f"eigenvalue modulus {small[below].flat[0]:.3e} below "
-                "1e-12 * ||M||; determinant power is ill-conditioned")
+        with np.errstate(over="ignore"):   # inf fails over to ||M||
+            frobenius = np.linalg.norm(M, axis=(-2, -1))
+        if not (small >= 2e-12 * np.maximum(frobenius, 1e-300)).all():
+            below = small < 1e-12 * np.maximum(operator_norm(M), 1e-300)
+            if below.any():
+                raise SingularMatrixError(
+                    f"eigenvalue modulus {small[below].flat[0]:.3e} below "
+                    "1e-12 * ||M||; determinant power is ill-conditioned")
     total = np.log(w).sum(axis=-1)
     return complex(total) if M.ndim == 2 else total
 

@@ -92,42 +92,68 @@ def _log_det_abs_u(V, s=None):
     return 0.5 * np.sum(np.log1p(s * s), axis=-1)
 
 
+def _constraint_squares(U, V):
+    """The squared Frobenius norms of the four constraint defects, stacked
+    on a new first axis (4, ...), over any leading batch axes of U and V."""
+    eye = np.eye(U.shape[-1])
+    Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
+
+    def squared_norm(A):
+        return np.add.reduce(np.square(np.abs(A)), axis=(-2, -1))
+
+    return np.array([
+        squared_norm(U @ mat_adjoint(U) - V @ mat_adjoint(V) - eye),
+        squared_norm(U @ Vt - V @ Ut),
+        squared_norm(mat_adjoint(U) @ U - Vt @ mat_conj(V) - eye),
+        squared_norm(Ut @ mat_conj(V) - mat_adjoint(V) @ U)])
+
+
 def _constraint_residual(U, V, s=None):
     """Scaled residual of the group constraints, over any leading batch axes.
 
     s, if given, holds the singular values of V, so that ||V|| needs no SVD
     of its own; the residual is the same to the bit.
 
-    Residuals are scaled by (1 + ||U||^2) for the Hermitian constraints and
-    (1 + ||U|| ||V||) for the symmetry constraints, so elements with large
-    squeezing or an exactly vanishing V are judged fairly. The largest of
-    the four is returned, and a NaN among them propagates.
+    The square roots of _constraint_squares are scaled by (1 + ||U||^2) for
+    the Hermitian constraints and (1 + ||U|| ||V||) for the symmetry
+    constraints, so elements with large squeezing or an exactly vanishing V
+    are judged fairly. The largest of the four is returned, and a NaN among
+    them propagates.
     """
-    eye = np.eye(U.shape[-1])
-    Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
     nu = operator_norm(U)
     nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
     herm_scale = 1.0 + nu * nu
     sym_scale = 1.0 + nu * nv
-
-    def squared_norm(A):
-        return np.add.reduce(np.square(np.abs(A)), axis=(-2, -1))
-
-    squares = np.array([
-        squared_norm(U @ mat_adjoint(U) - V @ mat_adjoint(V) - eye),
-        squared_norm(U @ Vt - V @ Ut),
-        squared_norm(mat_adjoint(U) @ U - Vt @ mat_conj(V) - eye),
-        squared_norm(Ut @ mat_conj(V) - mat_adjoint(V) @ U)])
+    squares = _constraint_squares(U, V)
     scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
     with np.errstate(invalid="ignore"):     # inf / inf once products overflow
         return np.max(np.sqrt(squares) / scales, axis=0)
+
+
+def _constraints_hold(U, V, s, tol=DEFAULT_TOL):
+    """_constraint_residual(U, V, s) <= tol for each entry of a stack
+    (n, d, d), as a bool array (n,), with the SVD of U only where needed.
+
+    Both scales are at least 1, and a floating-point division by a number
+    of at least 1 cannot increase a value, so an entry whose unscaled
+    defects are all within tol passes without its scale. Only the others
+    (NaN and inf included) go through _constraint_residual.
+    """
+    hold = np.max(np.sqrt(_constraint_squares(U, V)), axis=0) <= tol
+    undecided = ~hold
+    if undecided.any():
+        hold[undecided] = _constraint_residual(
+            U[undecided], V[undecided], s[undecided]) <= tol
+    return hold
 
 
 def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     """Validate the group constraints and build an element.
 
     The scaled residual is _constraint_residual's; the stacked circuit
-    compile checks every gate and running product with the same kernel.
+    compile makes the same decision for every gate and running product
+    through _constraints_hold, which takes the residual only where the
+    unscaled defects cannot decide.
     One SVD of V gives both ||V|| for the residual and log det|U|.
     """
     U = as_matrix(U)
@@ -222,9 +248,11 @@ def polar_factorize(r: SymplecticElement
 
     K1, K2 are unitary and A is real symmetric (diagonal in the returned
     frame); its eigenvalues are the squeeze parameters arcsinh of the
-    singular values of V. The gauge freedom of the eigenbasis of VV+ within
-    repeated squeeze values is fixed by a Takagi factorization of the
-    residual symmetric unitary coupling block.
+    singular values of V. One SVD of V gives K1 and those singular values,
+    which keep their relative accuracy beside a large squeeze where the
+    eigenvalues of VV+ do not. The gauge freedom of the left singular
+    vectors within repeated squeeze values is fixed by a Takagi
+    factorization of the residual symmetric unitary coupling block.
 
     Returns:
         (K1, A, K2) as plain matrices, so that
@@ -236,10 +264,8 @@ def polar_factorize(r: SymplecticElement
     """
     U, V = r.U, r.V
     d = r.dim
-    s2, K1 = np.linalg.eigh(V @ mat_adjoint(V))
-    s2 = np.maximum(s2[::-1], 0.0)
-    K1 = K1[:, ::-1]
-    lam = np.arcsinh(np.sqrt(s2))
+    K1, sv, _ = np.linalg.svd(V)
+    lam = np.arcsinh(sv)
     ch, sh = np.cosh(lam), np.sinh(lam)
     K2 = (mat_adjoint(K1) / ch[:, None]) @ U
 

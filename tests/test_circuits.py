@@ -391,21 +391,46 @@ class TestErrorOrder:
             "multiplier modulus deviates from 1 by 2.296e-10")
 
 
+def lapack_calls(monkeypatch, gates, names):
+    """(name, shape of the input) of each np.linalg call a compile makes."""
+    calls = []
+    for name in names:
+        call = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda A, *a, name=name, call=call, **k:
+                calls.append((name, np.shape(A))) or call(A, *a, **k))
+    monkeypatch.setattr(circuits, "_gate_fold", _fold_must_not_run)
+    circuits.compile_circuit(gates, 4)
+    return calls
+
+
 class TestCallBudget:
     def test_svd_calls_of_a_compile(self, monkeypatch):
-        # Five stacked SVDs: V of the gates and V of the products
-        # (each giving both ||V|| and log det|U|), U of the gates and of
-        # the products, and the multiplier's ||M||; then U and V of the
-        # final product in make_symplectic.
-        gates = long_circuit(150)
-        shapes = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda A, *a, **k: shapes.append(np.ndim(A))
-                            or svd(A, *a, **k))
-        monkeypatch.setattr(circuits, "_gate_fold", _fold_must_not_run)
-        circuits.compile_circuit(gates, 4)
-        assert sorted(shapes) == [2, 2, 3, 3, 3, 3, 3]
+        # Two stacked SVDs: V of the gates and V of the products, each
+        # giving ||V|| and log det|U|; every gate and product passes its
+        # constraints unscaled, so no SVD of U is taken. Then U and V of
+        # the final product in make_symplectic.
+        calls = lapack_calls(monkeypatch, long_circuit(150), ("svd",))
+        assert sorted(len(shape) for _, shape in calls) == [2, 2, 3, 3]
+
+    def test_svd_calls_of_a_long_compile(self, monkeypatch):
+        # From the 679th symplectic gate on (||U|| about 400) the products'
+        # unscaled defects exceed the tolerance, so a third stacked SVD
+        # takes ||U|| of those 73 products alone.
+        calls = lapack_calls(monkeypatch, long_circuit(1000), ("svd",))
+        stacks = [shape[0] for _, shape in calls if len(shape) == 3]
+        assert sorted(len(shape) for _, shape in calls) == [2, 2, 3, 3, 3]
+        n_gates, n_products, n_undecided = stacks
+        assert n_products == n_gates + 1
+        assert 0 < n_undecided < n_products
+
+    def test_multiplier_calls_of_a_compile(self, monkeypatch):
+        # The stacked multiplier takes two solves and one eigvals.
+        calls = lapack_calls(monkeypatch, long_circuit(150),
+                             ("eigvals", "solve"))
+        assert [(name, len(shape)) for name, shape in calls] == [
+            ("solve", 3), ("solve", 3), ("eigvals", 3)]
 
 
 class TestRun:

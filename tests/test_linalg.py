@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussfock import linalg
 from gaussfock.errors import (
     DimensionMismatchError,
     GaussFockError,
@@ -118,6 +119,49 @@ class TestEigLogDet:
         M = Q @ np.diag(w) @ np.linalg.inv(Q)
         expected = np.sum(np.log(w))
         assert eig_log_det(M) == pytest.approx(expected, abs=1e-10)
+
+
+class TestEigLogDetFloor:
+    """The 1e-12 floor decides on ||M||_F where it can and on ||M||
+    otherwise, with the same decision and message as on ||M|| alone."""
+
+    @staticmethod
+    def norm_calls(monkeypatch):
+        calls = []
+        norm = linalg.operator_norm
+        monkeypatch.setattr(linalg, "operator_norm",
+                            lambda A: calls.append(np.shape(A)) or norm(A))
+        return calls
+
+    @staticmethod
+    def stacked(M):
+        return np.array([np.eye(4), M, np.eye(4) + 0.1 * np.ones((4, 4))])
+
+    def test_well_conditioned_stack_takes_no_norm(self, monkeypatch):
+        calls = self.norm_calls(monkeypatch)
+        eig_log_det(np.eye(4) + 0.4 * random_complex(50, 4, 4))
+        eig_log_det(np.diag([1.0, 1.0, 1.0, 0.5]))
+        assert calls == []
+
+    def test_passes_on_the_exact_norm(self, monkeypatch):
+        # 1.5e-12 is below 2e-12 * ||M||_F = 3.5e-12, so ||M|| = 1 decides
+        calls = self.norm_calls(monkeypatch)
+        M = np.diag([1.0, 1.0, 1.0, 1.5e-12])
+        single = eig_log_det(M)
+        values = eig_log_det(self.stacked(M))
+        assert calls == [(4, 4), (3, 4, 4)]
+        assert single == values[1] == pytest.approx(np.log(1.5e-12))
+
+    def test_fails_with_the_message_of_the_exact_norm(self, monkeypatch):
+        calls = self.norm_calls(monkeypatch)
+        M = np.diag([1.0, 1.0, 1.0, 0.9e-12])
+        message = (r"^eigenvalue modulus 9\.000e-13 below 1e-12 \* \|\|M\|\|; "
+                   "determinant power is ill-conditioned$")
+        with pytest.raises(SingularMatrixError, match=message):
+            eig_log_det(M)
+        with pytest.raises(SingularMatrixError, match=message):
+            eig_log_det(self.stacked(M))
+        assert calls == [(4, 4), (3, 4, 4)]
 
 
 class TestTakagi:

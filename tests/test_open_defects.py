@@ -87,20 +87,35 @@ def test_norm_near_disc_boundary():
     assert abs(states.norm(out) - 1.0) <= 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True, raises=FactorizationFailureError,
-    reason="polar_factorize takes K1 and the squeeze parameters from "
-           "eigh(VV+); beside a squeeze of 10, 0.01 comes out as 0.0099998, "
-           "K2 misses unitarity by 6e-9 to 2e-8, and the factors do not "
-           "recompose (20 of 20 draws)")
-def test_polar_factorize_with_a_large_squeeze_beside_small_ones():
+def _polar_draws(a: float):
+    """K1 o squeeze(diag(a, 3, 0.5, 0.01)) o K2 over 20 draws of
+    default_rng(5), with random unitaries K1 and K2."""
     rng = np.random.default_rng(5)
-    squeeze = sp.squeeze(np.diag([10.0, 3.0, 0.5, 0.01]))
+    squeeze = sp.squeeze(np.diag([a, 3.0, 0.5, 0.01]))
     for _ in range(20):
         K1 = sp.random_element(4, rng, squeeze_scale=0.0).U
         K2 = sp.random_element(4, rng, squeeze_scale=0.0).U
-        r = sp.compose(sp.from_unitary(K1),
-                       sp.compose(squeeze, sp.from_unitary(K2)))
+        yield sp.compose(sp.from_unitary(K1),
+                         sp.compose(squeeze, sp.from_unitary(K2)))
+
+
+def test_polar_factorize_with_a_large_squeeze_beside_small_ones():
+    # eigh(VV+) gave 0.0099998 for the 0.01 here and failed 20 of 20 draws;
+    # the singular values of V keep it to a relative 5e-11.
+    for r in _polar_draws(10.0):
+        A = sp.polar_factorize(r)[1]
+        assert abs(A[3, 3] - 0.01) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True, raises=FactorizationFailureError,
+    reason="beside a squeeze of 15, K2 = K1+ U / cosh(lambda) misses "
+           "unitarity by 2.996e-10 on the first draw, above from_unitary's "
+           "1e-10, and the factors do not recompose (20 of 20 draws; at "
+           "a = 20, 3.124e-08)")
+def test_polar_factorize_with_a_larger_squeeze_beside_small_ones():
+    for r in _polar_draws(15.0):
         with _recorded_failure("factors do not recompose: matrix is not "
-                               "unitary", FactorizationFailureError):
+                               "unitary: ||K+K - I|| = 2.996e-10",
+                               FactorizationFailureError):
             sp.polar_factorize(r)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussfock import circuits, verify
 from gaussfock import symplectic as sp
 from gaussfock.errors import (
     ConstraintViolationError,
@@ -229,6 +230,66 @@ class TestOneKernel:
             assert r.log_det_abs_u == sp._log_det_abs_u(r.V)
             assert (sp.SymplecticElement(r.U, r.V, 0.0).log_det_abs_u
                     == r.log_det_abs_u)
+
+
+def running_products(n_gates):
+    """U, V of the running products of verify's random d=4 gate lists from
+    default_rng(0), chained to n_gates, as the stacked compile folds them."""
+    gen, d = np.random.default_rng(0), 4
+    gates = []
+    while len(gates) < n_gates:
+        gates += verify._random_gates(d, gen)
+    Ug, Vg, _ = circuits._gate_arrays(gates[:n_gates], d, ".")
+    U, V = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
+    PU, PV = [], []
+    for ug, vg in zip(Ug, Vg):
+        U, V = ug @ U + vg @ mat_conj(V), ug @ V + vg @ mat_conj(U)
+        PU.append(U)
+        PV.append(V)
+    return np.array(PU), np.array(PV)
+
+
+class TestConstraintDecision:
+    """_constraints_hold decides as the scaled residual does, entry by
+    entry, taking the SVD of U only for the entries it cannot decide
+    unscaled."""
+
+    @staticmethod
+    def assert_same_decisions(U, V):
+        s = np.linalg.svd(V, compute_uv=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hold = sp._constraints_hold(U, V, s)
+            want = sp._constraint_residual(U, V, s) <= sp.DEFAULT_TOL
+            unscaled = np.sqrt(sp._constraint_squares(U, V)).max(axis=0)
+        assert hold.dtype == bool
+        assert np.array_equal(hold, want)
+        return want, unscaled <= sp.DEFAULT_TOL
+
+    def test_running_products_of_a_long_circuit(self):
+        U, V = running_products(1000)
+        hold, unscaled = self.assert_same_decisions(U, V)
+        assert hold.all()
+        assert 0 < np.count_nonzero(~unscaled) < len(U)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_spoiled_entries_straddle_the_tolerance(self, d):
+        gen = np.random.default_rng(600 + d)
+        elements = [sp.random_element(d, gen, squeeze_scale=3.0)
+                    for _ in range(200)]
+        U = np.array([r.U for r in elements])
+        V = np.array([r.V for r in elements])
+        size = 10.0 ** gen.uniform(-13, -7, size=len(U))[:, None, None]
+        U = U + size * (gen.normal(size=U.shape)
+                        + 1j * gen.normal(size=U.shape))
+        # products that overflow: to inf, and to inf - inf = NaN
+        U[7, 0, 0] = V[11, 0, 0] = 1e300
+        U[13, 0, 0] = V[13, 0, 0] = 1e200
+        hold, unscaled = self.assert_same_decisions(U, V)
+        assert not hold[[7, 11, 13]].any()
+        # some pass unscaled, some pass only scaled, and some fail
+        assert unscaled.any()
+        assert (hold & ~unscaled).any()
+        assert (~hold).sum() > 2
 
 
 class TestPolarFactorization:
