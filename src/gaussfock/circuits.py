@@ -27,18 +27,17 @@ and runs each check once over the whole stack, with the formulas and
 decisions of the single-element routes: the constraints of every gate and
 every product (make_symplectic's kernel), log det|U| of both, and the
 multiplier of every gate with the product before it. The number of
-stacked checks does not grow with the circuit: two stacked SVDs (V of the
-gates and V of the products, each giving both ||V|| and log det|U|), two
-stacked solves and one stacked eigvals for the multiplier, then the two
-SVDs of the final make_symplectic. The norms that only scale a pass/fail
-test are taken only where they could change it: ||U|| for the gates and
-products whose unscaled constraint defect exceeds the tolerance (one more
-stacked SVD, over those alone), and the multiplier's ||M|| only if
-||M||_F does not clear its floor. Loading a SYMP file adds the two SVDs
-of its own make_symplectic. The phase and displacement are then folded in
-gate order, and a displacement or phase that overflowed anywhere is
-refused at the end. The result is byte for byte the gate-by-gate fold
-through compose and multiplier.
+stacked checks does not grow with the circuit: three SVDs in all (V of
+the gates and V of the products, each giving both ||V|| and log det|U|,
+then V of the final make_symplectic), two stacked solves and one stacked
+eigvals for the multiplier. The multiplier's ||M||, which only scales a
+pass/fail test, is taken only if ||M||_F does not clear its floor.
+Loading a SYMP file adds the one SVD of its own make_symplectic. The
+phase and displacement are then folded in gate order into one running
+vector, and a displacement or phase that overflowed anywhere is refused
+at the end: a non-finite entry stays non-finite through every later
+gate. The result is byte for byte the gate-by-gate fold through compose
+and multiplier.
 
 Only when the stacked pass fails, a build error included, does
 compile_circuit run that gate-by-gate fold, which raises the first failure
@@ -66,8 +65,9 @@ from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
+    DEFAULT_TOL,
     SymplecticElement,
-    _constraints_hold,
+    _constraint_residual,
     _log_det_abs_u,
     apply,
     compose,
@@ -284,8 +284,7 @@ def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
 
 
 def _refuse_overflow(h: np.ndarray, log_phase) -> None:
-    """Refuse a fold whose displacement h (one row or many) or phase
-    overflowed."""
+    """Refuse a fold whose displacement h or phase overflowed."""
     if not (np.isfinite(h).all() and np.isfinite(log_phase)):
         raise GaussFockError("vector entries must be finite")
 
@@ -308,31 +307,29 @@ def _stacked_pass(gates: list[Gate], dim: int,
         # One SVD of V per stack serves the constraints and log det|U|.
         s_gates = np.linalg.svd(Vg, compute_uv=False)
         s_prods = np.linalg.svd(PV, compute_uv=False)
-        if not (_constraints_hold(Ug, Vg, s_gates).all()
-                and _constraints_hold(PU[1:], PV[1:], s_prods[1:]).all()):
-            raise GaussFockError("a gate or running product is rejected")
+        for U, V, s in ((Ug, Vg, s_gates), (PU[1:], PV[1:], s_prods[1:])):
+            if not (_constraint_residual(U, V, s) <= DEFAULT_TOL).all():
+                raise GaussFockError("a gate or running product is rejected")
         log_det_p = _log_det_abs_u(PV, s_prods)
         chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg, s_gates),
                           log_det_p[:-1], log_det_p[1:])
         log_chi = iter(np.log(chi))
         shifts = iter(hd)
-        hs = np.empty((len(gates) + 1, dim), dtype=complex)
-        hs[0] = 0.0
+        h = np.zeros(dim, dtype=complex)
         log_phase = 0.0 + 0.0j
         k = 0
-        for i, gate in enumerate(gates):
-            h = hs[i]
+        for gate in gates:
             if gate.kind == "D":
                 hg = next(shifts)
                 log_phase += -1j * np.vdot(hg, h).imag
-                hs[i + 1] = hg + h
+                h = hg + h
             else:
                 log_phase += next(log_chi)
-                hs[i + 1] = Ug[k] @ h + Vg[k] @ np.conj(h)
+                h = Ug[k] @ h + Vg[k] @ np.conj(h)
                 k += 1
-    _refuse_overflow(hs, log_phase)
+    _refuse_overflow(h, log_phase)
     element = make_symplectic(PU[n], PV[n]) if n else identity(dim)
-    return CompiledCircuit(hs[-1], element, complex(log_phase))
+    return CompiledCircuit(h, element, complex(log_phase))
 
 
 def _gate_fold(gates: list[Gate], dim: int, base_dir: str) -> CompiledCircuit:

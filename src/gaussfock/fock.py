@@ -510,6 +510,13 @@ def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
                        + 0.5 * log_norm_sq)
 
 
+def _log_tail_bounds(x: UltracoherentState, cutoffs: np.ndarray
+                     ) -> np.ndarray:
+    """log tail_bound(x, N) for each N in cutoffs, from one bound profile."""
+    log_g, log_c = _bound_profile(x)
+    return np.min((cutoffs[:, None] + 1) * log_g + log_c, axis=1)
+
+
 def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     """Upper bound on the Fock norm of the degrees dropped beyond the cutoff.
 
@@ -519,8 +526,7 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     for any g in (sqrt||Z||, 1); the bound is minimized over a grid of g.
     Zero for the vacuum.
     """
-    log_g, log_c = _bound_profile(x)
-    best = float(np.min((cutoff + 1) * log_g + log_c))
+    best = float(_log_tail_bounds(x, np.array([cutoff]))[0])
     if best > np.log(np.finfo(float).max):
         raise GaussFockError(f"tail bound exp({best:.1f}) overflows float64")
     return math.exp(best)
@@ -529,21 +535,16 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
 def cutoff_for(x: UltracoherentState, budget: float) -> int:
     """Least cutoff N with tail_bound(x, N) <= budget.
 
-    Since the bound is min_g g^{N+1} C(g), the least N is
-    min_g ceil(log(budget / C(g)) / log g) - 1, confirmed by one call to
-    tail_bound. Raises GaussFockError when no cutoff up to MAX_CUTOFF meets
+    The bound is evaluated for every N up to MAX_CUTOFF from one bound
+    profile. Raises GaussFockError when no cutoff up to MAX_CUTOFF meets
     the budget.
     """
     if not budget > 0:
         raise GaussFockError(f"tail budget must be positive, got {budget}")
-    log_g, log_c = _bound_profile(x)
-    need = np.clip(np.min((math.log(budget) - log_c) / log_g),
-                   0.0, MAX_CUTOFF + 1.0)
-    N = max(0, math.ceil(need) - 1)
-    if tail_bound(x, N) > budget:   # the two evaluations round differently
-        N += 1
-    if N > MAX_CUTOFF:
+    log_bounds = _log_tail_bounds(x, np.arange(MAX_CUTOFF + 1))
+    within = np.flatnonzero(log_bounds <= math.log(budget))
+    if not within.size:
         raise GaussFockError(
             f"no cutoff up to {MAX_CUTOFF} brings the tail bound below "
             f"{budget:g}")
-    return N
+    return int(within[0])

@@ -151,6 +151,14 @@ def overlap_kernel(A, B) -> OverlapKernel:
     return OverlapKernel(C, D, cross, -0.5 * eig_log_det(M))
 
 
+def _exp(what: str, expo) -> complex:
+    """exp(expo), refusing an exponent whose real part overflows float64 or
+    is NaN (infinities that cancelled)."""
+    if not expo.real <= np.log(np.finfo(float).max):
+        raise GaussFockError(f"{what} exp({expo.real:.1f}) overflows float64")
+    return complex(np.exp(expo))
+
+
 def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
     """(x|y), conjugate-linear in x."""
     if x.dim != y.dim:
@@ -163,10 +171,7 @@ def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
             + 0.5 * bilinear_pairing(fs, ker.C @ fs)
             + bilinear_pairing(fs, ker.cross_op @ g)
             + 0.5 * bilinear_pairing(g, ker.D @ g))
-    if expo.real > np.log(np.finfo(float).max):
-        raise GaussFockError(
-            f"overlap exp({expo.real:.1f}) overflows float64")
-    return complex(np.exp(expo))
+    return _exp("overlap", expo)
 
 
 def norm(x: UltracoherentState) -> float:
@@ -193,23 +198,26 @@ def norm_squared_direct(x: UltracoherentState) -> float:
     Mi = np.linalg.inv(eye - Aad @ A)
     Gi = np.linalg.inv(eye - A @ Aad)
     fs = involution(f)
-    val = (-0.5 * eig_log_det(eye - Aad @ A)
-           + 0.5 * bilinear_pairing(fs, A @ Mi @ fs)
-           + hermitian_inner(f, Gi @ f)
-           + 0.5 * bilinear_pairing(f, Aad @ Gi @ f))
+    log_det = -0.5 * eig_log_det(eye - Aad @ A)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by _exp
+        val = (log_det
+               + 0.5 * bilinear_pairing(fs, A @ Mi @ fs)
+               + hermitian_inner(f, Gi @ f)
+               + 0.5 * bilinear_pairing(f, Aad @ Gi @ f))
     if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
         raise InternalInconsistencyError(
             f"norm expression has spurious imaginary part {val.imag:.3e}")
-    return float(np.exp(2.0 * x.log_amp.real + val.real))
+    return _exp("squared norm", 2.0 * x.log_amp.real + val.real).real
 
 
 def bargmann_eval(x: UltracoherentState, z) -> complex:
     """(coherent-kernel evaluation) amp * exp(1/2<z*|Z z*> + <z*|f>)."""
     z = as_vector(z, x.dim)
     zs = involution(z)
-    return complex(np.exp(x.log_amp
-                          + 0.5 * bilinear_pairing(zs, x.Z.Z @ zs)
-                          + bilinear_pairing(zs, x.f)))
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by _exp
+        expo = (x.log_amp + 0.5 * bilinear_pairing(zs, x.Z.Z @ zs)
+                + bilinear_pairing(zs, x.f))
+    return _exp("Bargmann evaluation", expo)
 
 
 def weyl_apply(h, x: UltracoherentState) -> UltracoherentState:
@@ -227,7 +235,10 @@ def weyl_phase(f, g) -> complex:
     """W(f) W(g) = weyl_phase(f, g) W(f + g); equals e^{-i Im(f|g)}."""
     f = as_vector(f)
     g = as_vector(g, f.shape[0])
-    return complex(np.exp(-1j * np.vdot(f, g).imag))
+    angle = np.vdot(f, g).imag
+    if not np.isfinite(angle):
+        raise GaussFockError(f"Weyl phase angle {angle} overflows float64")
+    return complex(np.exp(-1j * angle))
 
 
 def displacement_to_origin(x: UltracoherentState) -> np.ndarray:

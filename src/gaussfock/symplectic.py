@@ -117,44 +117,31 @@ def _constraint_residual(U, V, s=None):
     The square roots of _constraint_squares are scaled by (1 + ||U||^2) for
     the Hermitian constraints and (1 + ||U|| ||V||) for the symmetry
     constraints, so elements with large squeezing or an exactly vanishing V
-    are judged fairly. The largest of the four is returned, and a NaN among
-    them propagates.
+    are judged fairly. ||U||^2 is not measured but bounded below: as
+    UU+ = I + VV+ + E with E the first defect, Weyl's inequality gives
+    ||U||^2 >= 1 + ||V||^2 - ||E||_F (clamped at 0). Each scale is then at
+    most the measured one, so the check is at least as tight, and for a
+    residual r < 1/4 tighter by at most a factor 1/(1 - 4r). The largest of
+    the four is returned; a NaN, left by an overflow, propagates.
     """
-    nu = operator_norm(U)
     nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
-    herm_scale = 1.0 + nu * nu
-    sym_scale = 1.0 + nu * nv
     squares = _constraint_squares(U, V)
-    scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
-    with np.errstate(invalid="ignore"):     # inf / inf once products overflow
+    with np.errstate(invalid="ignore"):     # inf - inf once products overflow
+        nu2 = np.maximum(1.0 + nv * nv - np.sqrt(squares[0]), 0.0)
+        herm_scale = 1.0 + nu2
+        sym_scale = 1.0 + np.sqrt(nu2) * nv
+        scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
         return np.max(np.sqrt(squares) / scales, axis=0)
-
-
-def _constraints_hold(U, V, s, tol=DEFAULT_TOL):
-    """_constraint_residual(U, V, s) <= tol for each entry of a stack
-    (n, d, d), as a bool array (n,), with the SVD of U only where needed.
-
-    Both scales are at least 1, and a floating-point division by a number
-    of at least 1 cannot increase a value, so an entry whose unscaled
-    defects are all within tol passes without its scale. Only the others
-    (NaN and inf included) go through _constraint_residual.
-    """
-    hold = np.max(np.sqrt(_constraint_squares(U, V)), axis=0) <= tol
-    undecided = ~hold
-    if undecided.any():
-        hold[undecided] = _constraint_residual(
-            U[undecided], V[undecided], s[undecided]) <= tol
-    return hold
 
 
 def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     """Validate the group constraints and build an element.
 
-    The scaled residual is _constraint_residual's; the stacked circuit
-    compile makes the same decision for every gate and running product
-    through _constraints_hold, which takes the residual only where the
-    unscaled defects cannot decide.
-    One SVD of V gives both ||V|| for the residual and log det|U|.
+    The scaled residual is _constraint_residual's, which the stacked
+    circuit compile applies to every gate and running product. It takes
+    ||U||^2 as the Weyl bound 1 + ||V||^2 - ||UU+ - VV+ - I||_F, at most
+    the measured ||U||^2, so the check is at least as tight. One SVD of V
+    gives both ||V|| and log det|U|; no SVD of U is taken.
     """
     U = as_matrix(U)
     V = as_matrix(V, U.shape[0])

@@ -408,22 +408,20 @@ def lapack_calls(monkeypatch, gates, names):
 class TestCallBudget:
     def test_svd_calls_of_a_compile(self, monkeypatch):
         # Two stacked SVDs: V of the gates and V of the products, each
-        # giving ||V|| and log det|U|; every gate and product passes its
-        # constraints unscaled, so no SVD of U is taken. Then U and V of
-        # the final product in make_symplectic.
+        # giving ||V|| and log det|U|. Then V of the final product in
+        # make_symplectic. No SVD of U is taken.
         calls = lapack_calls(monkeypatch, long_circuit(150), ("svd",))
-        assert sorted(len(shape) for _, shape in calls) == [2, 2, 3, 3]
+        assert sorted(len(shape) for _, shape in calls) == [2, 3, 3]
 
     def test_svd_calls_of_a_long_compile(self, monkeypatch):
-        # From the 679th symplectic gate on (||U|| about 400) the products'
-        # unscaled defects exceed the tolerance, so a third stacked SVD
-        # takes ||U|| of those 73 products alone.
+        # The same three SVDs, although from the 679th symplectic gate on
+        # (||U|| about 400) the products' unscaled defects exceed the
+        # tolerance.
         calls = lapack_calls(monkeypatch, long_circuit(1000), ("svd",))
         stacks = [shape[0] for _, shape in calls if len(shape) == 3]
-        assert sorted(len(shape) for _, shape in calls) == [2, 2, 3, 3, 3]
-        n_gates, n_products, n_undecided = stacks
+        assert sorted(len(shape) for _, shape in calls) == [2, 3, 3]
+        n_gates, n_products = stacks
         assert n_products == n_gates + 1
-        assert 0 < n_undecided < n_products
 
     def test_multiplier_calls_of_a_compile(self, monkeypatch):
         # The stacked multiplier takes two solves and one eigvals.

@@ -45,3 +45,23 @@ def test_overflowing_constraint_residual_is_refused():
     with np.errstate(over="ignore"), pytest.raises(
             GaussFockError, match="constraints violated"):
         sp.make_symplectic([[1e200]], [[0.0]])
+
+
+# A state whose exponents overflow float64: each closed form must refuse
+# it with a typed error, not return inf or NaN.
+BIG = states.make_state([[0.5]], [1e308])
+
+
+def test_norm_squared_direct_refuses_overflow():
+    with pytest.raises(GaussFockError, match="overflows float64"):
+        states.norm_squared_direct(BIG)
+
+
+def test_bargmann_eval_refuses_overflow():
+    with pytest.raises(GaussFockError, match="overflows float64"):
+        states.bargmann_eval(BIG, [1e200])
+
+
+def test_weyl_phase_refuses_overflow():
+    with pytest.raises(GaussFockError, match="overflows float64"):
+        states.weyl_phase([1e200], [1e200j])

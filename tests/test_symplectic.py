@@ -165,18 +165,18 @@ class TestLogDetAbsU:
             assert sp.log_det_abs_u(r) == float(0.5 * np.sum(np.log1p(s * s)))
 
     def test_computed_once_per_element(self, monkeypatch):
-        # make_symplectic takes one SVD of U (for ||U||) and one of V, which
-        # gives both ||V|| and log det|U|; reading it takes none.
+        # make_symplectic takes one SVD, of V, which gives both ||V|| and
+        # log det|U|; reading it takes none.
         r = sp.random_element(3, rng)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
         again = sp.make_symplectic(r.U, r.V)
-        assert len(calls) == 2
+        assert len(calls) == 1
         first = sp.log_det_abs_u(again)
         assert sp.log_det_abs_u(again) == first == again.log_det_abs_u
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert first == sp._log_det_abs_u(r.V)
 
     def test_finite_next_to_a_large_squeeze(self):
@@ -249,27 +249,37 @@ def running_products(n_gates):
     return np.array(PU), np.array(PV)
 
 
+def measured_residual(U, V):
+    """The scaled residual with ||U|| measured by an SVD of U, entry by
+    entry: the reference that _constraint_residual's Weyl bound for
+    ||U||^2 must never loosen."""
+    nu, nv = operator_norm(U), operator_norm(V)
+    herm, sym = 1.0 + nu * nu, 1.0 + nu * nv
+    scales = np.array([herm, sym, herm, sym])
+    return np.max(np.sqrt(sp._constraint_squares(U, V)) / scales, axis=0)
+
+
 class TestConstraintDecision:
-    """_constraints_hold decides as the scaled residual does, entry by
-    entry, taking the SVD of U only for the entries it cannot decide
-    unscaled."""
+    """_constraint_residual, which bounds ||U||^2 from below by
+    1 + ||V||^2 - ||UU+ - VV+ - I||_F, decides as the residual with a
+    measured ||U|| does, and is never smaller."""
 
     @staticmethod
-    def assert_same_decisions(U, V):
-        s = np.linalg.svd(V, compute_uv=False)
+    def assert_at_least_as_tight(U, V):
         with np.errstate(over="ignore", invalid="ignore"):
-            hold = sp._constraints_hold(U, V, s)
-            want = sp._constraint_residual(U, V, s) <= sp.DEFAULT_TOL
-            unscaled = np.sqrt(sp._constraint_squares(U, V)).max(axis=0)
-        assert hold.dtype == bool
-        assert np.array_equal(hold, want)
-        return want, unscaled <= sp.DEFAULT_TOL
+            got = sp._constraint_residual(U, V)
+            want = measured_residual(U, V)
+        hold = got <= sp.DEFAULT_TOL
+        assert np.array_equal(hold, want <= sp.DEFAULT_TOL)
+        finite = np.isfinite(got) & np.isfinite(want)
+        assert (got[finite] >= want[finite] * (1 - 1e-14)).all()
+        assert not hold[~finite].any()
+        return hold, finite
 
     def test_running_products_of_a_long_circuit(self):
         U, V = running_products(1000)
-        hold, unscaled = self.assert_same_decisions(U, V)
+        hold, _ = self.assert_at_least_as_tight(U, V)
         assert hold.all()
-        assert 0 < np.count_nonzero(~unscaled) < len(U)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_spoiled_entries_straddle_the_tolerance(self, d):
@@ -284,12 +294,28 @@ class TestConstraintDecision:
         # products that overflow: to inf, and to inf - inf = NaN
         U[7, 0, 0] = V[11, 0, 0] = 1e300
         U[13, 0, 0] = V[13, 0, 0] = 1e200
-        hold, unscaled = self.assert_same_decisions(U, V)
-        assert not hold[[7, 11, 13]].any()
-        # some pass unscaled, some pass only scaled, and some fail
-        assert unscaled.any()
-        assert (hold & ~unscaled).any()
-        assert (~hold).sum() > 2
+        hold, finite = self.assert_at_least_as_tight(U, V)
+        assert not finite[[7, 11, 13]].any()
+        assert hold.any()
+        assert (~hold).sum() > 3
+
+    def test_grossly_invalid_pairs(self):
+        gen = np.random.default_rng(650)
+        shape = (500, 3, 3)
+        U, V = (gen.normal(size=shape) + 1j * gen.normal(size=shape)
+                for _ in range(2))
+        hold, finite = self.assert_at_least_as_tight(U, V)
+        assert finite.all()
+        assert not hold.any()
+
+    def test_overflowing_norm_of_v_is_refused(self):
+        # ||V||^2 and the first defect overflow, so the Weyl bound is
+        # 1 + inf - inf = NaN, which must not pass.
+        U, V = np.ones((1, 1, 1)), np.full((1, 1, 1), 1.5e154)
+        with np.errstate(over="ignore"):
+            assert not sp._constraint_residual(U, V)[0] <= sp.DEFAULT_TOL
+            with pytest.raises(ConstraintViolationError):
+                sp.make_symplectic(U[0], V[0])
 
 
 class TestPolarFactorization:
