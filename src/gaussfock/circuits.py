@@ -57,9 +57,11 @@ import numpy as np
 
 from .errors import (
     CircuitSyntaxError,
+    ConstraintViolationError,
     DimensionMismatchError,
     GaussFockError,
     ModeOutOfRangeError,
+    _require,
 )
 from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
@@ -67,6 +69,7 @@ from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
     DEFAULT_TOL,
     SymplecticElement,
+    _VIOLATED,
     _constraint_residual,
     _log_det_abs_u,
     apply,
@@ -308,8 +311,8 @@ def _stacked_pass(gates: list[Gate], dim: int,
         s_gates = np.linalg.svd(Vg, compute_uv=False)
         s_prods = np.linalg.svd(PV, compute_uv=False)
         for U, V, s in ((Ug, Vg, s_gates), (PU[1:], PV[1:], s_prods[1:])):
-            if not (_constraint_residual(U, V, s) <= DEFAULT_TOL).all():
-                raise GaussFockError("a gate or running product is rejected")
+            _require(_constraint_residual(U, V, s), DEFAULT_TOL,
+                     ConstraintViolationError, _VIOLATED)
         log_det_p = _log_det_abs_u(PV, s_prods)
         chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg, s_gates),
                           log_det_p[:-1], log_det_p[1:])

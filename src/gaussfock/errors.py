@@ -1,8 +1,14 @@
-"""Exception types raised by validated constructors and numerical routines."""
+"""Exception types raised by validated constructors and numerical routines,
+and the one routine that decides every internal check."""
+
+import numpy as np
 
 
 class GaussFockError(ValueError):
-    """Base class for all validation and consistency errors in this package."""
+    """Base class for all validation and consistency errors in this package.
+    A failed _require check sets .residual and .tol, else both are None."""
+
+    residual = tol = None
 
 
 class DimensionMismatchError(GaussFockError):
@@ -28,17 +34,12 @@ class SingularMatrixError(GaussFockError):
 class ConstraintViolationError(GaussFockError):
     """A Bogoliubov pair (U, V) violates the defining group constraints."""
 
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotInDiscError(GaussFockError):
-    """A matrix parameter lies outside the open unit-operator-norm disc."""
+    """A matrix parameter lies outside the open unit-operator-norm disc;
+    .norm is the operator norm that failed the check."""
 
-    def __init__(self, message: str, norm: float = float("nan")):
-        super().__init__(message)
-        self.norm = norm
+    norm = property(lambda self: self.residual)
 
 
 class FactorizationFailureError(GaussFockError):
@@ -69,3 +70,19 @@ class CircuitSyntaxError(GaussFockError):
 
 class ModeOutOfRangeError(GaussFockError):
     """A gate addresses a mode index outside the declared dimension."""
+
+
+def _require(residual, tol, error: type[GaussFockError], message: str) -> None:
+    """Pass if and only if residual <= tol, so a NaN residual fails. An array
+    fails for its first failing entry. message is a template with {residual}
+    and {tol} slots, filled only on failure; the error raised carries both."""
+    if isinstance(residual, np.ndarray):
+        bad = np.flatnonzero(~(residual <= tol))
+        if not bad.size:
+            return
+        residual = residual.flat[bad[0]]
+    elif residual <= tol:
+        return
+    exc = error(message.format(residual=residual, tol=tol))
+    exc.residual, exc.tol = residual, tol
+    raise exc

@@ -38,6 +38,7 @@ from .errors import (
     InvalidAlphaError,
     NotInDiscError,
     NotSymmetricError,
+    _require,
 )
 from .linalg import as_matrix, as_vector, hs_norm, involution, operator_norm
 from .states import UltracoherentState
@@ -325,8 +326,8 @@ def exp_vector(f, cutoff: int) -> FockTensor:
 
 
 def _check_symmetric(A: np.ndarray) -> None:
-    if hs_norm(A - A.T) > 1e-10 * (1.0 + operator_norm(A)):
-        raise NotSymmetricError("quadratic tensor parameter must be symmetric")
+    _require(hs_norm(A - A.T), 1e-10 * (1.0 + operator_norm(A)),
+             NotSymmetricError, "quadratic tensor parameter must be symmetric")
 
 
 def omega_tensor(A, cutoff: int) -> FockTensor:
@@ -365,10 +366,8 @@ def exp_omega(A, cutoff: int) -> FockTensor:
     Requires ||A|| < 1 so the series has summable Fock norm.
     """
     A = as_matrix(A)
-    nA = operator_norm(A)
-    if nA >= 1.0:
-        raise NotInDiscError(
-            f"exp Omega requires operator norm below 1, got {nA:.6f}", nA)
+    _require(operator_norm(A), np.nextafter(1.0, 0.0), NotInDiscError,
+             "exp Omega requires operator norm below 1, got {residual:.6f}")
     _check_symmetric(A)
     return _gaussian(A, np.zeros(A.shape[0], dtype=complex), 1.0, cutoff)
 
@@ -478,6 +477,7 @@ def alpha_norm(F: FockTensor, alpha: float) -> float:
     return float(np.linalg.norm(scale * dn))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a NaN or inf is refused later
 def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
     """log g and log(amp C(g)) over the admissible grid of g, where
     C(g) = (1 - g^2)^{-1/2} ||Phi(Z/g^2, f/g)||.
@@ -497,7 +497,7 @@ def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
     g = g[(g * g > s[0]) & (g < 1.0)]
     if not g.size:
         raise NotInDiscError(
-            f"no valid scaling parameter for ||Z|| = {s[0]:.6f}", s[0])
+            f"no valid scaling parameter for ||Z|| = {s[0]:.6f}")
     if not np.any(Z) and not np.any(f):
         return np.log(g), np.full(g.shape, -np.inf)
     a = np.conj(U).T @ f
@@ -527,8 +527,8 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     Zero for the vacuum.
     """
     best = float(_log_tail_bounds(x, np.array([cutoff]))[0])
-    if best > np.log(np.finfo(float).max):
-        raise GaussFockError(f"tail bound exp({best:.1f}) overflows float64")
+    _require(best, np.log(np.finfo(float).max), GaussFockError,
+             "tail bound exp({residual:.3e}) overflows float64")
     return math.exp(best)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     GaussFockError,
     NotSymmetricError,
     SingularMatrixError,
+    _require,
 )
 
 __all__ = [
@@ -178,9 +179,8 @@ def takagi(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     A = as_matrix(A)
     d = A.shape[0]
     scale = operator_norm(A)
-    if hs_norm(A - A.T) > tol * (1.0 + scale):
-        raise NotSymmetricError(
-            f"matrix is not symmetric within {tol:g} * (1 + ||A||)")
+    _require(hs_norm(A - A.T), tol * (1.0 + scale), NotSymmetricError,
+             f"matrix is not symmetric within {tol:g} * (1 + ||A||)")
     if d == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros(0)
 

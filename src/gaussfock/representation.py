@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, SingularMatrixError
+from .errors import InternalInconsistencyError, SingularMatrixError, _require
 from .linalg import as_vector, eig_log_det, mat_adjoint, mat_conj
 from .siegel import moebius
 from .states import (
@@ -105,12 +105,8 @@ def _multiplier(U2, U1, U3, log_det2, log_det1, log_det3):
             f"multiplier: U block is singular ({exc})") from exc
     log_chi = 0.5 * (log_det3 - log_det1 - log_det2 - eig_log_det(inner))
     chi = np.exp(log_chi)
-    deviation = np.abs(np.abs(chi) - 1.0)
-    bad = np.flatnonzero(~(deviation <= 1e-10))
-    if bad.size:
-        raise InternalInconsistencyError(
-            "multiplier modulus deviates from 1 by "
-            f"{deviation.flat[bad[0]]:.3e}")
+    _require(np.abs(np.abs(chi) - 1.0), 1e-10, InternalInconsistencyError,
+             "multiplier modulus deviates from 1 by {residual:.3e}")
     return complex(chi) if np.ndim(chi) == 0 else chi
 
 

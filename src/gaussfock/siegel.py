@@ -21,6 +21,7 @@ from .errors import (
     InternalInconsistencyError,
     NotInDiscError,
     NotSymmetricError,
+    _require,
 )
 from .linalg import as_matrix, hs_norm, mat_adjoint, mat_conj, operator_norm
 from .symplectic import SymplecticElement, make_symplectic
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 DISC_MARGIN = 1e-9
+_DISC_LIMIT = np.nextafter(1.0 - DISC_MARGIN, 0.0)   # largest norm accepted
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +60,11 @@ def make_point(Z) -> SiegelPoint:
     """
     Z = as_matrix(Z)
     norm = operator_norm(Z)
-    if hs_norm(Z - Z.T) > 1e-10 * (1.0 + norm):
-        raise NotSymmetricError("disc point must be a symmetric matrix")
-    if norm >= 1.0 - DISC_MARGIN:
-        raise NotInDiscError(
-            f"operator norm {norm:.12f} is not below 1 - {DISC_MARGIN:g}",
-            norm)
+    _require(hs_norm(Z - Z.T), 1e-10 * (1.0 + norm), NotSymmetricError,
+             "disc point must be a symmetric matrix")
+    _require(norm, _DISC_LIMIT, NotInDiscError,
+             "operator norm {residual:.12f} is not below 1 - "
+             f"{DISC_MARGIN:g}")
     Z = Z.copy()
     Z.flags.writeable = False
     return SiegelPoint(Z, norm)
@@ -81,10 +82,9 @@ def moebius(r: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
         (mat_conj(U) + mat_conj(V) @ Z).T, (U @ Z + V).T).T
     right = np.linalg.solve(mat_adjoint(U) + Z @ mat_adjoint(V),
                             V.T + Z @ U.T)
-    dev = hs_norm(left - right)
-    if dev > 1e-10 * (1.0 + operator_norm(right)):
-        raise InternalInconsistencyError(
-            f"the two Moebius expressions disagree by {dev:.3e}")
+    _require(hs_norm(left - right), 1e-10 * (1.0 + operator_norm(right)),
+             InternalInconsistencyError,
+             "the two Moebius expressions disagree by {residual:.3e}")
     return make_point(right)
 
 

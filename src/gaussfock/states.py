@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     GaussFockError,
     InternalInconsistencyError,
+    _require,
 )
 from .linalg import (
     as_matrix,
@@ -145,17 +146,16 @@ def overlap_kernel(A, B) -> OverlapKernel:
     D2 = np.linalg.solve(M, Aad)
     devC = hs_norm(C - C2) / (1.0 + hs_norm(C))
     devD = hs_norm(D - D2) / (1.0 + hs_norm(D))
-    if max(devC, devD) > 1e-12:
-        raise InternalInconsistencyError(
-            f"overlap kernel dual forms disagree by {max(devC, devD):.3e}")
+    _require(np.maximum(devC, devD), 1e-12, InternalInconsistencyError,
+             "overlap kernel dual forms disagree by {residual:.3e}")
     return OverlapKernel(C, D, cross, -0.5 * eig_log_det(M))
 
 
 def _exp(what: str, expo) -> complex:
     """exp(expo), refusing an exponent whose real part overflows float64 or
     is NaN (infinities that cancelled)."""
-    if not expo.real <= np.log(np.finfo(float).max):
-        raise GaussFockError(f"{what} exp({expo.real:.1f}) overflows float64")
+    _require(expo.real, np.log(np.finfo(float).max), GaussFockError,
+             what + " exp({residual:.3e}) overflows float64")
     return complex(np.exp(expo))
 
 
@@ -177,9 +177,9 @@ def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
 def norm(x: UltracoherentState) -> float:
     """Fock norm, via the self-overlap; its imaginary part must vanish."""
     val = overlap(x, x)
-    if abs(val.imag) > 1e-10 * max(val.real, 1e-300):
-        raise InternalInconsistencyError(
-            f"self-overlap has spurious imaginary part {val.imag:.3e}")
+    _require(abs(val.imag), 1e-10 * max(val.real, 1e-300),
+             InternalInconsistencyError,
+             f"self-overlap has spurious imaginary part {val.imag:.3e}")
     return float(np.sqrt(val.real))
 
 
@@ -204,10 +204,12 @@ def norm_squared_direct(x: UltracoherentState) -> float:
                + 0.5 * bilinear_pairing(fs, A @ Mi @ fs)
                + hermitian_inner(f, Gi @ f)
                + 0.5 * bilinear_pairing(f, Aad @ Gi @ f))
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
-        raise InternalInconsistencyError(
-            f"norm expression has spurious imaginary part {val.imag:.3e}")
-    return _exp("squared norm", 2.0 * x.log_amp.real + val.real).real
+    # the overflow guard first, so that a NaN exponent reads as an overflow
+    norm_sq = _exp("squared norm", 2.0 * x.log_amp.real + val.real).real
+    _require(abs(val.imag), 1e-9 * (1.0 + abs(val.real)),
+             InternalInconsistencyError,
+             f"norm expression has spurious imaginary part {val.imag:.3e}")
+    return norm_sq
 
 
 def bargmann_eval(x: UltracoherentState, z) -> complex:
@@ -236,8 +238,8 @@ def weyl_phase(f, g) -> complex:
     f = as_vector(f)
     g = as_vector(g, f.shape[0])
     angle = np.vdot(f, g).imag
-    if not np.isfinite(angle):
-        raise GaussFockError(f"Weyl phase angle {angle} overflows float64")
+    _require(abs(angle), np.finfo(float).max, GaussFockError,
+             f"Weyl phase angle {angle} overflows float64")
     return complex(np.exp(-1j * angle))
 
 
@@ -254,10 +256,9 @@ def displacement_to_origin(x: UltracoherentState) -> np.ndarray:
     Aad = mat_adjoint(A)
     h = (np.linalg.solve(eye - A @ Aad, f)
          + A @ np.linalg.solve(eye - Aad @ A, involution(f)))
-    defect = np.linalg.norm(h - A @ involution(h) - f)
-    if defect > 1e-10 * (1.0 + np.linalg.norm(f)):
-        raise InternalInconsistencyError(
-            f"displacement equation residual {defect:.3e}")
+    _require(np.linalg.norm(h - A @ involution(h) - f),
+             1e-10 * (1.0 + np.linalg.norm(f)), InternalInconsistencyError,
+             "displacement equation residual {residual:.3e}")
     return h
 
 

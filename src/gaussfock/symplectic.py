@@ -26,6 +26,7 @@ from .errors import (
     GaussFockError,
     NotRealSymmetricError,
     NotUnitaryError,
+    _require,
 )
 from .linalg import (
     as_matrix,
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+_VIOLATED = ("symplectic constraints violated: scaled residual {residual:.3e}"
+             " exceeds tol {tol:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +150,7 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     V = as_matrix(V, U.shape[0])
     s = np.linalg.svd(V, compute_uv=False)
     residual = float(_constraint_residual(U, V, s))
-    if not residual <= tol:
-        raise ConstraintViolationError(
-            f"symplectic constraints violated: scaled residual {residual:.3e}"
-            f" exceeds tol {tol:g}", residual)
+    _require(residual, tol, ConstraintViolationError, _VIOLATED)
     U = U.copy()
     V = V.copy()
     U.flags.writeable = False
@@ -168,21 +168,20 @@ def identity(dim: int) -> SymplecticElement:
 def from_unitary(K) -> SymplecticElement:
     """Embed a unitary K as the element (K, 0)."""
     K = as_matrix(K)
-    defect = hs_norm(mat_adjoint(K) @ K - np.eye(K.shape[0]))
-    if defect > DEFAULT_TOL:
-        raise NotUnitaryError(
-            f"matrix is not unitary: ||K+K - I|| = {defect:.3e}")
+    _require(hs_norm(mat_adjoint(K) @ K - np.eye(K.shape[0])), DEFAULT_TOL,
+             NotUnitaryError,
+             "matrix is not unitary: ||K+K - I|| = {residual:.3e}")
     return make_symplectic(K, np.zeros(K.shape))
 
 
 def squeeze(A) -> SymplecticElement:
     """The positive element (cosh A, sinh A) for real symmetric A."""
     A = as_matrix(A)
-    if hs_norm(A.imag) > DEFAULT_TOL * (1.0 + operator_norm(A)):
-        raise NotRealSymmetricError("squeeze matrix must be real")
+    _require(hs_norm(A.imag), DEFAULT_TOL * (1.0 + operator_norm(A)),
+             NotRealSymmetricError, "squeeze matrix must be real")
     Ar = A.real
-    if hs_norm(Ar - Ar.T) > DEFAULT_TOL * (1.0 + operator_norm(Ar)):
-        raise NotRealSymmetricError("squeeze matrix must be symmetric")
+    _require(hs_norm(Ar - Ar.T), DEFAULT_TOL * (1.0 + operator_norm(Ar)),
+             NotRealSymmetricError, "squeeze matrix must be symmetric")
     w, E = np.linalg.eigh(Ar)
     U = (E * np.cosh(w)) @ E.T
     V = (E * np.sinh(w)) @ E.T
@@ -276,10 +275,9 @@ def polar_factorize(r: SymplecticElement
     except GaussFockError as exc:
         raise FactorizationFailureError(
             f"factors do not recompose: {exc}") from exc
-    residual = max(hs_norm(rec.U - U), hs_norm(rec.V - V))
-    if residual > 1e-9 * (1.0 + operator_norm(U)):
-        raise FactorizationFailureError(
-            f"recomposition residual {residual:.3e} exceeds tolerance")
+    _require(max(hs_norm(rec.U - U), hs_norm(rec.V - V)),
+             1e-9 * (1.0 + operator_norm(U)), FactorizationFailureError,
+             "recomposition residual {residual:.3e} exceeds tolerance")
     return K1, A, K2
 
 
@@ -296,8 +294,8 @@ def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
     which tests verify against the three-factor composition route.
     """
     m = as_vector(spectrum, r1.dim)
-    if np.max(np.abs(m.imag), initial=0.0) > 1e-12:
-        raise GaussFockError("spectrum must be real")
+    _require(np.max(np.abs(m.imag), initial=0.0), 1e-12, GaussFockError,
+             "spectrum must be real")
     mr = m.real
     if np.min(mr, initial=0.0) < 0.0:
         raise GaussFockError("spectrum must be nonnegative")

@@ -274,8 +274,8 @@ def suite_oracle(rng: np.random.Generator, trials: int) -> _Residuals:
         lhs = fock.apply_operator(gk, fock.exp_vector(f[:dw], Ng))
         rhs = fock.exp_vector(K @ f[:dw], Ng)
         yield "second quantization", fock.tensor_residual(lhs, rhs)
-        Fh = _random_homogeneous(d, int(rng.integers(0, 5)), N, rng)
-        Gh = _random_homogeneous(d, int(rng.integers(0, 5)), N, rng)
+        Fh = _random_tensor(d, N, rng, int(rng.integers(0, 5)))
+        Gh = _random_tensor(d, N, rng, int(rng.integers(0, 5)))
         nf, ng = fock.tensor_norm(Fh), fock.tensor_norm(Gh)
         kf = int(np.argmax(fock.degree_norms(Fh) > 0)) if nf else 0
         kg = int(np.argmax(fock.degree_norms(Gh) > 0)) if ng else 0
@@ -284,8 +284,8 @@ def suite_oracle(rng: np.random.Generator, trials: int) -> _Residuals:
         yield "degree norm bound", max(got - bound, 0.0) / (1 + bound)
         alpha, beta = rng.uniform(0.15, 0.45, size=2)
         gam = float(rng.uniform(alpha + beta + 0.02, 1.0))
-        Fr = _random_tensor(d, N, rng)
-        Gr = _random_tensor(d, N, rng)
+        Fr = _random_tensor(d, N, rng, 0, min(N // 2, 5))
+        Gr = _random_tensor(d, N, rng, 0, min(N // 2, 5))
         c = 1.0 / np.sqrt(1.0 - ((alpha + beta) / gam) ** 2)
         lhs_n = fock.alpha_norm(fock.symmetric_product(Fr, Gr), gam)
         rhs_n = c * fock.alpha_norm(Fr, alpha) * fock.alpha_norm(Gr, beta)
@@ -328,19 +328,12 @@ def _line_tensor(f: np.ndarray, cutoff: int) -> fock.FockTensor:
     return fock.FockTensor(d, cutoff, c)
 
 
-def _random_homogeneous(d: int, degree: int, cutoff: int,
-                        rng: np.random.Generator) -> fock.FockTensor:
+def _random_tensor(d: int, cutoff: int, rng: np.random.Generator, low: int,
+                   high: int | None = None) -> fock.FockTensor:
+    """Gaussian coefficients in the degrees low..high (high defaults to low)."""
     c = rng.normal(size=(cutoff + 1,) * d) + 1j * rng.normal(size=(cutoff + 1,) * d)
     deg = np.indices((cutoff + 1,) * d).sum(axis=0)
-    c[deg != degree] = 0.0
-    return fock.FockTensor(d, cutoff, c)
-
-
-def _random_tensor(d: int, cutoff: int,
-                   rng: np.random.Generator) -> fock.FockTensor:
-    c = rng.normal(size=(cutoff + 1,) * d) + 1j * rng.normal(size=(cutoff + 1,) * d)
-    deg = np.indices((cutoff + 1,) * d).sum(axis=0)
-    c[deg > min(cutoff // 2, 5)] = 0.0
+    c[(deg < low) | (deg > (low if high is None else high))] = 0.0
     return fock.FockTensor(d, cutoff, c)
 
 

@@ -1,0 +1,116 @@
+"""The one routine that decides every internal check, and its inventory.
+
+errors._require passes if and only if residual <= tol, so a NaN residual
+fails, and the error it raises carries .residual and .tol. The inventory
+lists every direct raise of a check-error class in the package outside
+_require; a new ad hoc check site shows up as a diff of the expected list
+below.
+"""
+
+import ast
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gaussfock
+from gaussfock import siegel
+from gaussfock.errors import (
+    ConstraintViolationError,
+    GaussFockError,
+    InternalInconsistencyError,
+    NotInDiscError,
+    _require,
+)
+from gaussfock.linalg import as_vector
+
+TEMPLATE = "residual {residual:.3e} exceeds tol {tol:g}"
+nan = float("nan")
+
+
+class TestRequire:
+    @pytest.mark.parametrize("residual", [0.0, 1e-11, 1e-10, np.float64(1e-10),
+                                          -np.inf, np.zeros((2, 3))])
+    def test_at_most_tol_passes(self, residual):
+        assert _require(residual, 1e-10, GaussFockError, TEMPLATE) is None
+
+    def test_failure_formats_the_message_and_carries_both(self):
+        with pytest.raises(ConstraintViolationError) as err:
+            _require(2.5e-10, 1e-10, ConstraintViolationError, TEMPLATE)
+        assert str(err.value) == "residual 2.500e-10 exceeds tol 1e-10"
+        assert (err.value.residual, err.value.tol) == (2.5e-10, 1e-10)
+
+    @pytest.mark.parametrize("residual", [nan, np.float64(nan),
+                                          np.array([0.0, nan]), np.inf])
+    def test_nan_and_inf_fail(self, residual):
+        with pytest.raises(InternalInconsistencyError) as err:
+            _require(residual, 1e-10, InternalInconsistencyError, TEMPLATE)
+        assert not np.isfinite(err.value.residual)
+
+    def test_stack_raises_for_its_first_failing_entry(self):
+        stack = np.array([[0.0, 3e-10], [5e-10, 1e-11]])
+        with pytest.raises(InternalInconsistencyError) as err:
+            _require(stack, 1e-10, InternalInconsistencyError, TEMPLATE)
+        assert err.value.residual == 3e-10      # first in order, not largest
+        assert str(err.value) == "residual 3.000e-10 exceeds tol 1e-10"
+
+    def test_message_is_formatted_only_on_failure(self):
+        _require(0.0, 1.0, GaussFockError, "{no_such_slot}")
+
+    def test_errors_from_elsewhere_carry_none(self):
+        with pytest.raises(GaussFockError) as err:
+            as_vector([nan])
+        assert (err.value.residual, err.value.tol) == (None, None)
+
+    def test_residual_and_tol_survive_pickling(self):
+        with pytest.raises(ConstraintViolationError) as err:
+            _require(2.5e-10, 1e-10, ConstraintViolationError, TEMPLATE)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (str(copy), copy.residual, copy.tol) == (
+            str(err.value), 2.5e-10, 1e-10)
+
+    def test_disc_check_keeps_its_decision_and_norm(self):
+        limit = 1.0 - siegel.DISC_MARGIN
+        siegel.make_point([[np.nextafter(limit, 0.0)]])
+        with pytest.raises(NotInDiscError) as err:
+            siegel.make_point([[limit]])
+        assert err.value.norm == err.value.residual == limit
+        assert err.value.tol < limit
+
+
+CHECK_ERRORS = {
+    "InternalInconsistencyError", "ConstraintViolationError",
+    "NotSymmetricError", "NotRealSymmetricError", "NotUnitaryError",
+    "FactorizationFailureError",
+}
+
+
+def direct_raises() -> list[str]:
+    """'module.function: Error' for each raise of a check-error class
+    outside _require, found by walking the package's syntax trees."""
+    found = []
+
+    def visit(node, module: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise) and owner != "_require":
+                exc = child.exc
+                name = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(name, ast.Name) and name.id in CHECK_ERRORS:
+                    found.append(f"{module}.{owner}: {name.id}")
+            visit(child, module, owner)
+
+    for path in sorted(Path(gaussfock.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sorted(found)
+
+
+def test_direct_raises_of_check_errors():
+    assert direct_raises() == [
+        "states.make_state: InternalInconsistencyError",
+        "states.scaled: InternalInconsistencyError",
+        "symplectic.polar_factorize: FactorizationFailureError",
+    ]

@@ -307,10 +307,14 @@ class TestErrorOrder:
 
     def test_multiplier_modulus_on_5000_gates(self):
         gates = long_circuit(5000)
-        got = raised(circuits.compile_circuit, gates, 4)
+        with pytest.raises(GaussFockError) as info:
+            circuits.compile_circuit(gates, 4)
+        got = type(info.value), str(info.value)
         assert got == raised(reference_fold, gates, 4)
         assert got == (InternalInconsistencyError,
                        "multiplier modulus deviates from 1 by 2.296e-10")
+        assert f"{info.value.residual:.3e}" == "2.296e-10"
+        assert info.value.tol == 1e-10
 
     def test_nonfinite_squeeze_after_valid_prefix(self):
         gates = long_circuit(40) + circuits.parse("S(2, 800, 0)")

@@ -65,3 +65,29 @@ def test_bargmann_eval_refuses_overflow():
 def test_weyl_phase_refuses_overflow():
     with pytest.raises(GaussFockError, match="overflows float64"):
         states.weyl_phase([1e200], [1e200j])
+
+
+# Finite parameters whose tail-bound profile overflows: the bound came back
+# as NaN, and cutoff_for leaked numpy's RuntimeWarning.
+HUGE = states.make_state([[0.5]], [1e200])
+
+
+def test_tail_bound_refuses_nan():
+    with pytest.raises(GaussFockError, match=r"tail bound exp\(nan\) overflows"):
+        fock.tail_bound(HUGE, 5)
+
+
+def test_cutoff_for_refuses_overflow():
+    with pytest.raises(GaussFockError, match="no cutoff up to"):
+        fock.cutoff_for(HUGE, 1e-8)
+
+
+def test_overflow_message_prints_the_exponent_in_e_format():
+    x = states.make_state([[0.5]], [1e150])
+    with pytest.raises(GaussFockError) as err:
+        fock.tail_bound(x, 5)
+    assert str(err.value) == "tail bound exp(1.000e+300) overflows float64"
+    assert err.value.residual == pytest.approx(1.0004e300, rel=1e-4)
+    with pytest.raises(GaussFockError) as err:
+        states.overlap(x, x)
+    assert str(err.value) == "overlap exp(2.000e+300) overflows float64"
