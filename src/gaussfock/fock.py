@@ -9,11 +9,11 @@ coefficients c_m of sum_m c_m E_m, where E_m = e_1^{m_1} v ... v e_d^{m_d}
 and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 (cutoff+1,)^dim grid is only its exchange format: the constructor takes it,
 and .coeffs builds it on first read. A FockOperator acts on the same
-vectors through one matrix A, as A or as exp(A). create and annihilate
-are sparse ladder matrices built by one routine from the basis tables; the
-displacement W(h) of weyl is the exponential of their difference, applied
-to vectors with expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011). Only gamma, and a read of .matrix, make a dense matrix.
+vectors through one matrix A, as A or as exp(A). One routine assembles
+a+(f), a(f) and the generator a+(h) - a(h*) of the displacement W(h) of weyl
+as CSR matrices from the basis tables; W(h) is applied to vectors with
+expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). Only
+gamma, and a read of .matrix, make a dense matrix.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,35 +120,34 @@ class FockTensor:
 class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
-    It holds one matrix A and acts as A, or as exp(A) for the displacement
-    of weyl. FockOperator(dim, cutoff, matrix) holds a dense matrix, which
-    .matrix returns. The ladder operators hold a sparse A: .matrix is then
-    A.toarray(), or scipy.linalg.expm of it, computed on first read and kept.
+    It holds one dense or sparse (B, B) matrix A, B the basis size, and acts
+    as A, or as exp(A) when weyl sets that flag. .matrix is a dense A itself;
+    otherwise A.toarray(), or scipy.linalg.expm of it, computed on first read
+    and kept.
     """
 
-    def __init__(self, dim: int, cutoff: int, matrix: np.ndarray):
+    def __init__(self, dim: int, cutoff: int, matrix):
+        size = _basis(dim, cutoff).size
+        if np.shape(matrix) != (size, size):
+            raise DimensionMismatchError(
+                f"expected operator matrix of shape {(size, size)}, "
+                f"got {np.shape(matrix)}")
         self.dim = dim
         self.cutoff = cutoff
-        self._A = self._matrix = matrix
+        self._A = matrix
         self._exp = False
 
-    @classmethod
-    def _sparse(cls, dim: int, cutoff: int, A, exp=False) -> FockOperator:
-        op = cls(dim, cutoff, A)
-        op._matrix, op._exp = None, exp
-        return op
-
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            _check_dense(self._A.shape[0])
-            dense = self._A.toarray()
-            if self._exp:
-                # imported here, like scipy.sparse in _ladder: see the note
-                import scipy.linalg
-                dense = scipy.linalg.expm(dense)
-            self._matrix = dense
-        return self._matrix
+        if isinstance(self._A, np.ndarray):
+            return self._A
+        _check_dense(self._A.shape[0])
+        dense = self._A.toarray()
+        if self._exp:
+            # imported here, like scipy.sparse in _ladder: see the note there
+            import scipy.linalg
+            dense = scipy.linalg.expm(dense)
+        return dense
 
 
 def _check_size(dim: int, cutoff: int) -> None:
@@ -160,7 +159,7 @@ def _check_size(dim: int, cutoff: int) -> None:
         raise GaussFockError(
             f"cutoff {cutoff} exceeds {MAX_CUTOFF}, the largest degree whose "
             "factorial weight fits in float64")
-    # the basis table holds dim entries per state; grid keys are int64
+    # two (size, dim) tables, down and up, guarded as one; grid keys are int64
     if (math.comb(cutoff + dim, dim) * dim > MAX_GRID_ENTRIES
             or (cutoff + 1) ** dim > np.iinfo(np.int64).max):
         raise GaussFockError(f"flat basis of dimension {dim} and cutoff "
@@ -180,20 +179,21 @@ def _factorials(cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Basis:
-    """The flat basis with its lowering table.
+    """The flat basis with its lowering and raising tables.
 
     idx[i] is the i-th multi-index, ordered by (total degree, lexicographic),
     key[i] = idx[i] @ strides its position in the flattened grid, and
     positions start[n]:start[n+1] hold degree n. weight[i] is idx[i]! and
-    order sorts key. down[i, mu] is the position of idx[i] - e_mu, or size when
-    idx[i, mu] = 0; callers pad their arrays with a zero there. parent[i] =
-    down[i, axis[i]] for the first axis with idx[i, axis] > 0: the edge along
-    which the recurrences build entry i.
+    order sorts key. down[i, mu] and up[i, mu] are the positions of idx[i]
+    -/+ e_mu, or size off the basis; callers pad their arrays with a zero
+    there. parent[i] = down[i, axis[i]] for the first axis with
+    idx[i, axis] > 0: the edge along which the recurrences build entry i.
     """
 
     idx: np.ndarray
     key: np.ndarray
     down: np.ndarray
+    up: np.ndarray
     start: np.ndarray
     axis: np.ndarray
     parent: np.ndarray
@@ -219,18 +219,19 @@ def _basis(dim: int, cutoff: int) -> _Basis:
     key = np.concatenate(levels)
     idx = (key[:, None] // strides % (cutoff + 1)).astype(np.int32)
     size = len(key)
-    down = np.full((size, dim), size, dtype=np.int32)
+    down, up = (np.full((size, dim), size, dtype=np.int32) for _ in range(2))
     for n, inverse in enumerate(raises):
-        down[inverse + start[n + 1], np.arange(dim)] = np.arange(
-            start[n], start[n + 1])[:, None]
+        up[start[n]:start[n + 1]] = inverse + start[n + 1]
+    below = np.arange(start[cutoff])           # all but the top degree
+    down[up[below], np.arange(dim)] = below[:, None]
     axis = np.argmax(idx > 0, axis=1)
     parent = down[np.arange(size), axis]
     weight = np.prod(_factorials(cutoff)[idx], axis=1)
     order = np.argsort(key)
-    for arr in (idx, key, down, start, axis, parent, weight, order, strides):
-        arr.flags.writeable = False
-    return _Basis(idx, key, down, start, axis, parent, weight, order, strides,
-                  size)
+    for a in (idx, key, down, up, start, axis, parent, weight, order, strides):
+        a.flags.writeable = False
+    return _Basis(idx, key, down, up, start, axis, parent, weight, order,
+                  strides, size)
 
 
 def _position(b: _Basis, keys) -> np.ndarray:
@@ -396,31 +397,36 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     return FockTensor._of(F.dim, F.cutoff, out)
 
 
-def _ladder(b: _Basis, vals, raising: bool):
-    """Sparse matrix with vals[j, mu] (broadcast) at (j, down[j, mu]) when
-    raising, at (down[j, mu], j) when lowering, where idx[j, mu] > 0.
+def _ladder(b: _Basis, raising, lowering):
+    """CSR matrix of a+(raising) + a(lowering); None leaves a half out.
 
-    The rows j of nonzero(idx) give the CSR row pointer, and down[j, mu]
-    rises with mu, so the indices come out sorted; lowering reads the same
-    arrays as CSC.
+    Row i holds raising[mu] at column down[i, mu] and lowering[mu] *
+    (idx[i, mu] + 1) at up[i, mu], where these exist. down lies a degree
+    below i and rises with mu, up a degree above and falls with mu, so with
+    up read backwards every row's columns come out sorted.
     """
     # imported here: at module level it raised the peak memory of a process
     # that imports gaussfock and gaussfock.cli and runs one d=2 circuit from
     # 32.6 to 54.1 MB (3 runs each on 2 cores, all within 0.1 MB)
-    import scipy.sparse
+    from scipy.sparse import csr_array
 
-    j, mu = np.nonzero(b.idx)
-    indptr = np.searchsorted(j, np.arange(b.size + 1))
-    data = np.broadcast_to(vals, b.idx.shape)[j, mu]
-    form = scipy.sparse.csr_array if raising else scipy.sparse.csc_array
-    return form((data, b.down[j, mu], indptr), shape=(b.size, b.size))
+    halves = []
+    if raising is not None:
+        halves.append((b.down, np.broadcast_to(raising, b.down.shape)))
+    if lowering is not None:
+        halves.append((b.up[:, ::-1], lowering[::-1] * (b.idx[:, ::-1] + 1)))
+    cols, vals = map(np.hstack, zip(*halves))
+    pos = np.flatnonzero(cols < b.size)   # flat: row i owns [i w, (i + 1) w)
+    indptr = np.searchsorted(pos, np.arange(0, cols.size + 1, cols.shape[1]))
+    return csr_array((vals.ravel()[pos], cols.ravel()[pos], indptr),
+                     shape=(b.size, b.size))
 
 
 def create(f, cutoff: int) -> FockOperator:
     """Creation operator a+(f): E_m -> sum_mu f_mu E_{m + e_mu}."""
     f = as_vector(f)
-    A = _ladder(_basis(f.shape[0], cutoff), f, True)
-    return FockOperator._sparse(f.shape[0], cutoff, A)
+    d = f.shape[0]
+    return FockOperator(d, cutoff, _ladder(_basis(d, cutoff), f, None))
 
 
 def annihilate(f, cutoff: int) -> FockOperator:
@@ -430,9 +436,8 @@ def annihilate(f, cutoff: int) -> FockOperator:
     annihilate(f*).
     """
     f = as_vector(f)
-    b = _basis(f.shape[0], cutoff)
-    A = _ladder(b, f * b.idx, False)
-    return FockOperator._sparse(f.shape[0], cutoff, A)
+    d = f.shape[0]
+    return FockOperator(d, cutoff, _ladder(_basis(d, cutoff), None, f))
 
 
 def gamma(B, cutoff: int) -> FockOperator:
@@ -458,14 +463,14 @@ def gamma(B, cutoff: int) -> FockOperator:
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    G is the difference of the sparse ladder matrices of create(h) and
-    annihilate(h*). apply_operator computes W(h) v from G with
-    expm_multiply; .matrix, built on first read, is scipy.linalg.expm of
-    the dense G.
+    apply_operator computes W(h) v from the sparse G with expm_multiply;
+    .matrix, built on first read, is scipy.linalg.expm of the dense G.
     """
     h = as_vector(h)
-    gen = create(h, cutoff)._A - annihilate(involution(h), cutoff)._A
-    return FockOperator._sparse(h.shape[0], cutoff, gen, exp=True)
+    d = h.shape[0]
+    op = FockOperator(d, cutoff, _ladder(_basis(d, cutoff), h, -involution(h)))
+    op._exp = True
+    return op
 
 
 def alpha_norm(F: FockTensor, alpha: float) -> float:
@@ -512,9 +517,13 @@ def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_tail_bounds(x: UltracoherentState, cutoffs: np.ndarray
                      ) -> np.ndarray:
-    """log tail_bound(x, N) for each N in cutoffs, from one bound profile."""
+    """log tail_bound(x, N) for each N in cutoffs, from one bound profile;
+    refused when the least of them is NaN or overflows float64."""
     log_g, log_c = _bound_profile(x)
-    return np.min((cutoffs[:, None] + 1) * log_g + log_c, axis=1)
+    log_bounds = np.min((cutoffs[:, None] + 1) * log_g + log_c, axis=1)
+    _require(np.min(log_bounds), np.log(np.finfo(float).max), GaussFockError,
+             "tail bound exp({residual:.3e}) overflows float64")
+    return log_bounds
 
 
 def tail_bound(x: UltracoherentState, cutoff: int) -> float:
@@ -526,18 +535,16 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     for any g in (sqrt||Z||, 1); the bound is minimized over a grid of g.
     Zero for the vacuum.
     """
-    best = float(_log_tail_bounds(x, np.array([cutoff]))[0])
-    _require(best, np.log(np.finfo(float).max), GaussFockError,
-             "tail bound exp({residual:.3e}) overflows float64")
-    return math.exp(best)
+    return math.exp(_log_tail_bounds(x, np.array([cutoff]))[0])
 
 
 def cutoff_for(x: UltracoherentState, budget: float) -> int:
     """Least cutoff N with tail_bound(x, N) <= budget.
 
     The bound is evaluated for every N up to MAX_CUTOFF from one bound
-    profile. Raises GaussFockError when no cutoff up to MAX_CUTOFF meets
-    the budget.
+    profile. Raises GaussFockError, as tail_bound does, when the least
+    bound is NaN or overflows float64, and when no cutoff up to MAX_CUTOFF
+    meets the budget.
     """
     if not budget > 0:
         raise GaussFockError(f"tail budget must be positive, got {budget}")

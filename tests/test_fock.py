@@ -1,4 +1,4 @@
-"""Tests for the dense truncated Fock-space oracle."""
+"""Tests for the truncated Fock-space oracle on its flat basis."""
 
 from math import comb, factorial
 

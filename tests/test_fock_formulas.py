@@ -17,7 +17,7 @@ import scipy.linalg
 
 import gaussfock
 from gaussfock import fock, states
-from gaussfock.errors import GaussFockError
+from gaussfock.errors import DimensionMismatchError, GaussFockError
 from gaussfock.linalg import involution
 
 
@@ -88,7 +88,7 @@ def test_cutoff_for_vacuum_is_zero():
 
 def test_cutoff_for_raises_when_no_cutoff_suffices():
     x = states.make_state(np.array([[0.999]]), np.zeros(1))
-    with pytest.raises(GaussFockError):
+    with pytest.raises(GaussFockError, match="no cutoff up to 170"):
         fock.cutoff_for(x, 1e-12)
     with pytest.raises(GaussFockError):
         fock.cutoff_for(states.vacuum(1), 0.0)
@@ -132,6 +132,54 @@ def test_positional_operator_applies_its_matrix():
     want = m @ np.array([F.coeffs[i] for i in fock.basis_indices(d, N)])
     assert np.allclose([got.coeffs[i] for i in fock.basis_indices(d, N)],
                        want, rtol=0, atol=1e-13)
+
+
+def test_operator_refuses_a_matrix_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatchError, match=r"\(15, 15\)"):
+        fock.apply_operator(fock.FockOperator(2, 4, np.eye(3)),
+                            fock.vacuum_tensor(2, 4))
+    with pytest.raises(DimensionMismatchError):
+        fock.FockOperator(2, 4, fock.create([0.3, 0.2], 3)._A)
+
+
+_TABLE_SIZES = [(1, 0), (2, 7), (4, 3), (5, 6), (2, 94)]
+
+
+@pytest.mark.parametrize("d, N", _TABLE_SIZES)
+def test_raise_table_steps_up_one_degree(d, N):
+    b = fock._basis(d, N)
+    j, mu = np.nonzero(b.idx)
+    assert np.array_equal(b.up[b.down[j, mu], mu], j)
+    top = np.arange(b.size) >= b.start[N]
+    assert np.array_equal(b.up == b.size,
+                          np.broadcast_to(top[:, None], b.up.shape))
+    below = np.arange(b.start[N])
+    assert np.array_equal(b.idx[b.up[below]],
+                          b.idx[below][:, None] + np.eye(d, dtype=int))
+
+
+@pytest.mark.parametrize("d, N", _TABLE_SIZES)
+def test_ladder_matrices_are_canonical_csr(d, N):
+    h = _weyl_h(d, np.random.default_rng(d + N))
+    for op in (fock.create(h, N), fock.annihilate(h, N), fock.weyl(h, N)):
+        assert op._A.format == "csr"
+        assert op._A.has_canonical_format
+
+
+def test_weyl_builds_its_generator_without_the_ladder_operators(monkeypatch):
+    def refuse(f, cutoff):
+        raise AssertionError("weyl built a ladder operator")
+
+    d, N = 2, 12
+    h = np.array([0.3, 0.2j])
+    monkeypatch.setattr(fock, "create", refuse)
+    monkeypatch.setattr(fock, "annihilate", refuse)
+    w = fock.weyl(h, N)
+    out = fock.apply_operator(w, fock.vacuum_tensor(d, N))
+    want = np.exp(-0.5 * np.vdot(h, h).real) * fock.exp_vector(h, N).vector
+    low = len(fock.basis_indices(d, N // 3))
+    assert np.max(np.abs(out.vector[:low] - want[:low])) <= 1e-12
+    assert np.max(np.abs(w.matrix[:low, 0] - want[:low])) <= 1e-12
 
 
 def test_dense_operators_refuse_sizes_beyond_the_guard():
