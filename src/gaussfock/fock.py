@@ -18,17 +18,21 @@ gamma, and a read of .matrix, make a dense matrix.
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
 (Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
-basis; Gamma(B) builds each column from the column of its parent m - e_mu
-the same way. General products are exact convolutions, a shift-add over the
-nonzeros of the sparser factor: FFT noise of ~1e-16 in high-degree entries,
-under m! weights up to ~1e150, would swamp the inner products.
+basis from per-degree step tables of the basis: each degree is one gather of
+[f | A] by mu, one gather of the coefficients at the parent and its lower
+neighbours, and one einsum. A Gaussian or exponential vector whose entries
+overflow float64 is refused with a GaussFockError. Gamma(B) builds each
+column from the column of its parent m - e_mu the same way. General products
+are exact convolutions, a shift-add over the nonzeros of the sparser factor:
+FFT noise of ~1e-16 in high-degree entries, under m! weights up to ~1e150,
+would swamp the inner products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -159,7 +163,10 @@ def _check_size(dim: int, cutoff: int) -> None:
         raise GaussFockError(
             f"cutoff {cutoff} exceeds {MAX_CUTOFF}, the largest degree whose "
             "factorial weight fits in float64")
-    # two (size, dim) tables, down and up, guarded as one; grid keys are int64
+    # size * dim bounds each of the (size, dim) tables down and up, built
+    # with the basis; the step table src of _Basis.steps, (size - 1, dim + 1)
+    # and built only for a Gaussian, then holds at most twice as many
+    # entries. Grid keys are int64
     if (math.comb(cutoff + dim, dim) * dim > MAX_GRID_ENTRIES
             or (cutoff + 1) ** dim > np.iinfo(np.int64).max):
         raise GaussFockError(f"flat basis of dimension {dim} and cutoff "
@@ -188,6 +195,7 @@ class _Basis:
     -/+ e_mu, or size off the basis; callers pad their arrays with a zero
     there. parent[i] = down[i, axis[i]] for the first axis with
     idx[i, axis] > 0: the edge along which the recurrences build entry i.
+    steps, built on first read, holds the Gaussian recurrence's tables.
     """
 
     idx: np.ndarray
@@ -201,6 +209,25 @@ class _Basis:
     order: np.ndarray
     strides: np.ndarray
     size: int
+
+    @cached_property
+    def steps(self) -> tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray],
+                             ...]:
+        """(rows, mu, src, inv) for each degree n >= 1, rows the slice
+        start[n]:start[n+1] and mu = axis[rows]. Row k of src is
+        (parent, down[parent, 0..dim-1]) of entry i = rows.start + k, and
+        inv[k] = 1 / idx[i, mu[k]]. src and inv are views of one table each,
+        read-only."""
+        rows = np.arange(1, self.size)      # row 0, the vacuum, has no parent
+        p = self.parent[rows]
+        src = np.column_stack([p, self.down[p]]).astype(np.intp)
+        inv = 1.0 / self.idx[rows, self.axis[rows]]
+        src.flags.writeable = inv.flags.writeable = False
+        out = []
+        for lo, hi in zip(self.start[1:-1], self.start[2:]):
+            k = slice(lo - 1, hi - 1)
+            out.append((slice(lo, hi), self.axis[lo:hi], src[k], inv[k]))
+        return tuple(out)
 
 
 @lru_cache(maxsize=32)
@@ -316,6 +343,21 @@ def tensor_residual(F: FockTensor, G: FockTensor) -> float:
     return float(np.sqrt(np.sum(b.weight * np.abs(F.vector - G.vector) ** 2)))
 
 
+def _finite(build):
+    """Run an oracle vector's build with numpy's overflow warnings off, and
+    refuse the finished vector when an entry overflowed float64 or is NaN."""
+    @wraps(build)
+    def guarded(*args, **kwargs) -> FockTensor:
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = build(*args, **kwargs)
+        _require(np.abs(F.vector.view(float)).max(), np.finfo(float).max,
+                 GaussFockError, "Fock coefficient {residual:.3e} overflows "
+                 "float64")
+        return F
+    return guarded
+
+
+@_finite
 def exp_vector(f, cutoff: int) -> FockTensor:
     """exp f = sum_n f^{vn}/n!, coefficients prod f_mu^{m_mu}/m_mu!."""
     f = as_vector(f)
@@ -339,25 +381,30 @@ def omega_tensor(A, cutoff: int) -> FockTensor:
     _check_symmetric(A)
     out = np.zeros(b.size, dtype=complex)
     if cutoff >= 2:
-        rows = np.arange(b.start[2], b.start[3])   # e_mu + e_nu, mu <= nu
+        rows = slice(b.start[2], b.start[3])   # e_mu + e_nu, mu <= nu
         mu, nu = b.axis[rows], b.axis[b.parent[rows]]
         out[rows] = np.where(mu == nu, 0.5, 1.0) * A[mu, nu]
     return FockTensor._of(d, cutoff, out)
 
 
-def _gaussian(A: np.ndarray, f: np.ndarray, c0: complex,
+@_finite
+def _gaussian(A: np.ndarray, f: np.ndarray, log_c0: complex,
               cutoff: int) -> FockTensor:
-    """c0 (exp Omega(A) v exp f) truncated at the cutoff, by the recurrence
-    (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}."""
+    """exp(log_c0) (exp Omega(A) v exp f) truncated at the cutoff, by the
+    recurrence
+    (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}.
+
+    Row k of [f | A][mu] pairs with row k of c[src], (c_p, c_{p - e_nu}) for
+    the parent p = m - e_mu of entry m, so each degree is one einsum over
+    the step tables of _Basis.steps.
+    """
     d = A.shape[0]
     b = _basis(d, cutoff)
+    ext = np.column_stack([f, A])
     c = np.zeros(b.size + 1, dtype=complex)    # c[b.size] = 0 is the pad
-    c[0] = c0
-    for n in range(1, cutoff + 1):
-        rows = np.arange(b.start[n], b.start[n + 1])
-        mu, p = b.axis[rows], b.parent[rows]
-        c[rows] = ((f[mu] * c[p] + np.sum(A[mu] * c[b.down[p]], axis=1))
-                   / b.idx[rows, mu])
+    c[0] = np.exp(log_c0)
+    for rows, mu, src, inv in b.steps:
+        c[rows] = np.einsum("kj,kj->k", ext.take(mu, 0), c[src]) * inv
     return FockTensor._of(d, cutoff, c[:-1])
 
 
@@ -370,12 +417,12 @@ def exp_omega(A, cutoff: int) -> FockTensor:
     _require(operator_norm(A), np.nextafter(1.0, 0.0), NotInDiscError,
              "exp Omega requires operator norm below 1, got {residual:.6f}")
     _check_symmetric(A)
-    return _gaussian(A, np.zeros(A.shape[0], dtype=complex), 1.0, cutoff)
+    return _gaussian(A, np.zeros(A.shape[0], dtype=complex), 0.0, cutoff)
 
 
 def represent_state(x: UltracoherentState, cutoff: int) -> FockTensor:
     """Truncated coefficients of exp(log_amp) (exp Omega(Z) v exp f)."""
-    return _gaussian(x.Z.Z, x.f, np.exp(x.log_amp), cutoff)
+    return _gaussian(x.Z.Z, x.f, x.log_amp, cutoff)
 
 
 def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
@@ -453,9 +500,9 @@ def gamma(B, cutoff: int) -> FockOperator:
     M = np.zeros((b.size + 1, b.size), dtype=complex)   # last row: the pad
     M[0, 0] = 1.0
     for n in range(1, cutoff + 1):
-        rows = np.arange(b.start[n], b.start[n + 1])
+        rows = slice(b.start[n], b.start[n + 1])
         mu, p = b.axis[rows], b.parent[rows]
-        M[rows[:, None], rows] = sum(
+        M[rows, rows] = sum(
             B[nu, mu] * M[b.down[rows, nu][:, None], p] for nu in range(d))
     return FockOperator(d, cutoff, M[:-1])
 

@@ -70,6 +70,53 @@ def test_index_table_matches_loop_reference(d, N):
     assert np.array_equal(fock.annihilate(f, N).matrix, down)
 
 
+def loop_gaussian(Z, f, c0, d, N):
+    """The recurrence (m_mu + 1) c_{m + e_mu} = f_mu c_m
+    + sum_nu Z_{mu nu} c_{m - e_nu}, one Python complex at a time, stepping
+    to each m along its first occupied axis."""
+    basis = loop_basis(d, N)
+    pos = {m: i for i, m in enumerate(basis)}
+    c = [0j] * len(basis)
+    c[0] = c0
+    for i, m in enumerate(basis[1:], 1):
+        mu = next(a for a in range(d) if m[a])
+        p = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
+        acc = f[mu] * c[pos[p]]
+        for nu in range(d):
+            if p[nu]:
+                acc += Z[mu][nu] * c[pos[p[:nu] + (p[nu] - 1,) + p[nu + 1:]]]
+        c[i] = acc / m[mu]
+    return np.array(c)
+
+
+@pytest.mark.parametrize("d, N", [(1, 0), (1, 1), (2, 7), (3, 5), (4, 3),
+                                  (5, 6), (2, 94)])
+def test_recurrence_matches_loop_reference(d, N):
+    rng = np.random.default_rng(7 * d + N)
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Z = 0.5 * (G + G.T) / np.linalg.norm(G + G.T, 2)
+    f = rng.normal(size=d) + 1j * rng.normal(size=d)
+    log_amp = 0.3 - 0.7j
+    got = fock.represent_state(states.make_state(Z, f, log_amp), N).vector
+    want = loop_gaussian(Z.tolist(), f.tolist(), np.exp(log_amp), d, N)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, N", [(1, 0), (2, 7), (4, 3)])
+def test_basis_tables_are_read_only(d, N):
+    b = fock._basis(d, N)
+    tables = [b.idx, b.key, b.down, b.up, b.start, b.axis, b.parent,
+              b.weight, b.order, b.strides]
+    assert len(b.steps) == N
+    for rows, mu, src, inv in b.steps:
+        assert src.shape == (rows.stop - rows.start, d + 1)
+        assert src.dtype == np.intp
+        tables += [mu, src, inv]
+    for t in tables:
+        with pytest.raises(ValueError):
+            t.flat[0] = t.flat[0]
+
+
 def test_cutoff_for_is_least_certified_cutoff():
     rng = np.random.default_rng(31337)
     for d in (1, 2, 3):

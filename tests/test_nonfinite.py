@@ -82,6 +82,18 @@ def test_cutoff_for_refuses_overflow():
         fock.cutoff_for(HUGE, 1e-8)
 
 
+# Finite parameters whose oracle coefficients overflow: the recurrence and
+# the power table leaked numpy's RuntimeWarning.
+def test_represent_state_refuses_overflow():
+    with pytest.raises(GaussFockError, match="overflows float64"):
+        fock.represent_state(states.make_state([[0.5]], [1e100]), 5)
+
+
+def test_exp_vector_refuses_overflow():
+    with pytest.raises(GaussFockError, match="overflows float64"):
+        fock.exp_vector([1e100], 5)
+
+
 def test_overflow_message_prints_the_exponent_in_e_format():
     x = states.make_state([[0.5]], [1e150])
     with pytest.raises(GaussFockError) as err:
