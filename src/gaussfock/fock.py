@@ -195,7 +195,8 @@ class _Basis:
     -/+ e_mu, or size off the basis; callers pad their arrays with a zero
     there. parent[i] = down[i, axis[i]] for the first axis with
     idx[i, axis] > 0: the edge along which the recurrences build entry i.
-    steps, built on first read, holds the Gaussian recurrence's tables.
+    steps and indices are built on first read: the Gaussian recurrence's
+    tables, and idx as tuples.
     """
 
     idx: np.ndarray
@@ -228,6 +229,11 @@ class _Basis:
             k = slice(lo - 1, hi - 1)
             out.append((slice(lo, hi), self.axis[lo:hi], src[k], inv[k]))
         return tuple(out)
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """idx as tuples, the value of basis_indices."""
+        return tuple(map(tuple, self.idx.tolist()))
 
 
 @lru_cache(maxsize=32)
@@ -270,10 +276,9 @@ def _position(b: _Basis, keys) -> np.ndarray:
     return b.order[np.searchsorted(b.key, keys, sorter=b.order)]
 
 
-@lru_cache(maxsize=32)
 def basis_indices(dim: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     """Occupation multi-indices ordered by (total degree, lexicographic)."""
-    return tuple(map(tuple, _basis(dim, cutoff).idx.tolist()))
+    return _basis(dim, cutoff).indices
 
 
 def make_tensor(dim: int, cutoff: int, coeffs) -> FockTensor:

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GaussFockError
-from .fock import FockTensor, _basis, _position, basis_indices
+from .fock import FockTensor, _basis, _position
 from .siegel import SiegelPoint, make_point
 from .states import UltracoherentState, make_state
 from .symplectic import SymplecticElement, make_symplectic
@@ -130,10 +130,11 @@ def decode_state(obj: Any) -> UltracoherentState:
 
 def encode_tensor(F: FockTensor, threshold: float = 0.0) -> dict:
     """Sparse entry dump; entries with |c| <= threshold are omitted."""
-    idx = basis_indices(F.dim, F.cutoff)
-    kept = sorted(np.flatnonzero(np.abs(F.vector) > threshold),
-                  key=idx.__getitem__)     # lexicographic, as in the grid
-    entries = [[list(idx[i]), encode_complex(F.vector[i])] for i in kept]
+    b = _basis(F.dim, F.cutoff)
+    # lexicographic, as in the grid
+    kept = b.order[np.abs(F.vector[b.order]) > threshold]
+    entries = [[m, encode_complex(z)]
+               for m, z in zip(b.idx[kept].tolist(), F.vector[kept])]
     return {"dim": F.dim, "cutoff": F.cutoff, "entries": entries}
 
 

@@ -82,10 +82,11 @@ def moebius(r: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
         (mat_conj(U) + mat_conj(V) @ Z).T, (U @ Z + V).T).T
     right = np.linalg.solve(mat_adjoint(U) + Z @ mat_adjoint(V),
                             V.T + Z @ U.T)
-    _require(hs_norm(left - right), 1e-10 * (1.0 + operator_norm(right)),
+    point = make_point(right)
+    _require(hs_norm(left - right), 1e-10 * (1.0 + point.op_norm),
              InternalInconsistencyError,
              "the two Moebius expressions disagree by {residual:.3e}")
-    return make_point(right)
+    return point
 
 
 def transport_from_origin(p: SiegelPoint) -> SymplecticElement:

@@ -15,7 +15,8 @@ The inner product of two states is the determinant-kernel formula
     (x|y) = conj(amp_x) amp_y det(I - A+B)^{-1/2}
             exp( 1/2<f*|C f*> + <f*|(I - BA+)^{-1} g> + 1/2<g|D g> )
 
-with A = Z_x, B = Z_y, C = B(I - A+B)^{-1}, D = A+(I - BA+)^{-1}. Weyl
+with A = Z_x, B = Z_y, C = B(I - A+B)^{-1}, D = A+(I - BA+)^{-1}; overlap
+evaluates it, taking C and D each in two forms that must agree. Weyl
 displacement operators act in closed form and never leave the family.
 """
 
@@ -32,7 +33,6 @@ from .errors import (
     _require,
 )
 from .linalg import (
-    as_matrix,
     as_vector,
     eig_log_det,
     hs_norm,
@@ -44,13 +44,11 @@ from .symplectic import SymplecticElement, log_det_abs_u
 
 __all__ = [
     "UltracoherentState",
-    "OverlapKernel",
     "make_state",
     "vacuum",
     "coherent",
     "bilinear_pairing",
     "hermitian_inner",
-    "overlap_kernel",
     "overlap",
     "norm",
     "norm_squared_direct",
@@ -115,27 +113,26 @@ def coherent(f) -> UltracoherentState:
     return make_state(np.zeros((d, d)), f, -0.5 * np.vdot(f, f).real)
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapKernel:
-    """Operators entering the two-state inner product for (A, B) = (Z_x, Z_y)."""
-
-    C: np.ndarray
-    D: np.ndarray
-    cross_op: np.ndarray
-    log_det_factor: complex
+def _exp(what: str, expo) -> complex:
+    """exp(expo), refusing an exponent whose real part overflows float64 or
+    is NaN (infinities that cancelled)."""
+    _require(expo.real, np.log(np.finfo(float).max), GaussFockError,
+             what + " exp({residual:.3e}) overflows float64")
+    return complex(np.exp(expo))
 
 
-def overlap_kernel(A, B) -> OverlapKernel:
-    """Kernel of the determinant-overlap formula.
+def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
+    """(x|y), conjugate-linear in x, by the determinant kernel.
 
     C = B (I - A+B)^{-1} and D = A+ (I - BA+)^{-1} are each evaluated in two
     algebraically equal forms (push-through identity) and must agree within
-    1e-12 times (1 + norm); cross_op = (I - BA+)^{-1}.
+    1e-12 times (1 + norm); (I - BA+)^{-1} is the cross term's operator.
     """
-    A = as_matrix(A)
-    B = as_matrix(B, A.shape[0])
-    d = A.shape[0]
-    eye = np.eye(d)
+    if x.dim != y.dim:
+        raise DimensionMismatchError(
+            f"cannot overlap states of dims {x.dim} and {y.dim}")
+    A, B = x.Z.Z, y.Z.Z
+    eye = np.eye(x.dim)
     Aad = mat_adjoint(A)
     M = eye - Aad @ B          # I - A+B
     Mt = eye - B @ Aad         # I - BA+
@@ -148,29 +145,13 @@ def overlap_kernel(A, B) -> OverlapKernel:
     devD = hs_norm(D - D2) / (1.0 + hs_norm(D))
     _require(np.maximum(devC, devD), 1e-12, InternalInconsistencyError,
              "overlap kernel dual forms disagree by {residual:.3e}")
-    return OverlapKernel(C, D, cross, -0.5 * eig_log_det(M))
-
-
-def _exp(what: str, expo) -> complex:
-    """exp(expo), refusing an exponent whose real part overflows float64 or
-    is NaN (infinities that cancelled)."""
-    _require(expo.real, np.log(np.finfo(float).max), GaussFockError,
-             what + " exp({residual:.3e}) overflows float64")
-    return complex(np.exp(expo))
-
-
-def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
-    """(x|y), conjugate-linear in x."""
-    if x.dim != y.dim:
-        raise DimensionMismatchError(
-            f"cannot overlap states of dims {x.dim} and {y.dim}")
-    ker = overlap_kernel(x.Z.Z, y.Z.Z)
+    log_det = -0.5 * eig_log_det(M)
     fs = involution(x.f)
     g = y.f
-    expo = (np.conj(x.log_amp) + y.log_amp + ker.log_det_factor
-            + 0.5 * bilinear_pairing(fs, ker.C @ fs)
-            + bilinear_pairing(fs, ker.cross_op @ g)
-            + 0.5 * bilinear_pairing(g, ker.D @ g))
+    expo = (np.conj(x.log_amp) + y.log_amp + log_det
+            + 0.5 * bilinear_pairing(fs, C @ fs)
+            + bilinear_pairing(fs, cross @ g)
+            + 0.5 * bilinear_pairing(g, D @ g))
     return _exp("overlap", expo)
 
 
@@ -277,7 +258,7 @@ def factor_displaced_squeezed(x: UltracoherentState
     log_resid = (x.log_amp + 0.5 * log_det_abs_u(r)
                  + 0.5 * np.vdot(h, h).real
                  - 0.5 * bilinear_pairing(involution(h), Z @ involution(h)))
-    return h, r, complex(np.exp(log_resid))
+    return h, r, _exp("residual amplitude", log_resid)
 
 
 def scaled(x: UltracoherentState, factor: complex) -> UltracoherentState:

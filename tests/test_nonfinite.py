@@ -67,6 +67,15 @@ def test_weyl_phase_refuses_overflow():
         states.weyl_phase([1e200], [1e200j])
 
 
+def test_factor_displaced_squeezed_refuses_overflow():
+    # A finite state whose residual amplitude is exp(800): it came back as
+    # inf, with numpy's RuntimeWarning.
+    x = states.make_state([[0.5]], [0.1], 800.0)
+    with pytest.raises(GaussFockError, match=r"residual amplitude "
+                       r"exp\(8\.001e\+02\) overflows float64"):
+        states.factor_displaced_squeezed(x)
+
+
 # Finite parameters whose tail-bound profile overflows: the bound came back
 # as NaN, and cutoff_for leaked numpy's RuntimeWarning.
 HUGE = states.make_state([[0.5]], [1e200])

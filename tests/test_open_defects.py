@@ -44,8 +44,9 @@ def _recorded_failure(message: str, error=InternalInconsistencyError):
 
 @pytest.mark.xfail(
     strict=True, raises=InternalInconsistencyError,
-    reason="overlap_kernel's dual-form tolerance is a fixed 1e-12; on this "
-           "unit-norm 1000-gate state the forms disagree by 3.377e-11")
+    reason="the kernel check in states.overlap has a fixed dual-form "
+           "tolerance of 1e-12; on this unit-norm 1000-gate state the forms "
+           "disagree by 3.377e-11")
 def test_norm_of_long_circuit():
     out = circuits.run(_random_circuit(1000), 4)
     with _recorded_failure("overlap kernel dual forms disagree by"):
@@ -85,6 +86,17 @@ def test_single_mode_circuit_then_its_inverse():
 def test_norm_near_disc_boundary():
     out = circuits.run(circuits.parse("S(0,10,0)"), 1)
     assert abs(states.norm(out) - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="norm takes the square root of the exponentiated self-overlap; "
+           "at log_amp = -400 that is about exp(-800) and underflows to 0, "
+           "though the norm, about 2.0787e-174, is a normal double")
+def test_norm_of_a_faint_state():
+    want = states.norm(states.make_state([[0.5]], [0.1], 0.0)) * np.exp(-400)
+    got = states.norm(states.make_state([[0.5]], [0.1], -400.0))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def _polar_draws(a: float):

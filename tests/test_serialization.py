@@ -158,6 +158,23 @@ class TestTensor:
         with pytest.raises(GaussFockError, match="size guard"):
             ser.decode_tensor(obj)
 
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 7), (3, 5),
+                                      (4, 3), (5, 6), (2, 40)])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_encode_matches_sorted_reference(self, d, N, threshold):
+        # entries in lexicographic order of their multi-indices, as the
+        # grid holds them; a third of the coefficients are exact zeros
+        rng = np.random.default_rng(d * 100 + N)
+        grid = rng.normal(size=(N + 1,) * d) + 1j * rng.normal(
+            size=(N + 1,) * d)
+        grid[rng.uniform(size=grid.shape) < 1 / 3] = 0.0
+        grid[np.indices(grid.shape).sum(axis=0) > N] = 0.0
+        want = [[list(m), [grid[m].real, grid[m].imag]]
+                for m in sorted(fock.basis_indices(d, N))
+                if abs(grid[m]) > threshold]
+        out = ser.encode_tensor(fock.make_tensor(d, N, grid), threshold)
+        assert out == {"dim": d, "cutoff": N, "entries": want}
+
 
 class TestFiles:
     def test_dump_and_load(self, tmp_path):

@@ -106,6 +106,21 @@ class TestMoebius:
                             NotInDiscError)):
             siegel.moebius(bad, p)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_one_svd_per_call(self, d, monkeypatch):
+        # The image's norm scales the dual-form check and validates the
+        # point: one SVD serves both.
+        local = np.random.default_rng(d)
+        p = siegel.random_point(d, local)
+        r = sp.random_element(d, local)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        q = siegel.moebius(r, p)
+        assert len(calls) == 1
+        assert q.op_norm == np.linalg.norm(q.Z, 2)
+
 
 class TestTransport:
     def test_reaches_the_point_from_origin(self):
