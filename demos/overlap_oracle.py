@@ -1,8 +1,9 @@
 """Closed-form overlaps cross-checked against the truncated-space oracle.
 
 Builds two displaced squeezed states, evaluates their inner product with the
-determinant formula, then rebuilds both as dense coefficient tensors at a
-cutoff certified by the tail bound and compares the two numbers.
+determinant formula, then rebuilds both as truncated coefficient vectors on
+the Fock basis, at a cutoff certified by the tail bound, and compares the
+two numbers.
 """
 
 import numpy as np

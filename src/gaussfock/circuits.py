@@ -24,14 +24,15 @@ time): the n symplectic gates as (n, d, d) stacks Ug, Vg and the D shifts
 as rows. It folds the running products (U3, V3) = Ug (U1, V1) +
 Vg (V1~, U1~) with one (2, d, d) update per gate, keeping every product,
 and runs each check once over the whole stack, with the formulas and
-decisions of the single-element routes: the constraints of every gate and
-every product (make_symplectic's kernel), log det|U| of both, and the
-multiplier of every gate with the product before it. The number of
-stacked checks does not grow with the circuit: three SVDs in all (V of
-the gates and V of the products, each giving both ||V|| and log det|U|,
-then V of the final make_symplectic), two stacked solves and one stacked
-eigvals for the multiplier. The multiplier's ||M||, which only scales a
-pass/fail test, is taken only if ||M||_F does not clear its floor.
+decisions of the single-element routes: the constraints and log det|U| of
+every gate and every product, by symplectic._check_pairs, the very check
+make_symplectic runs, and the multiplier of every gate with the product
+before it. The number of stacked checks does not grow with the circuit:
+three SVDs in all (V of the gates and V of the products, each giving both
+||V|| and log det|U|, then V of the final make_symplectic), two stacked
+solves and one stacked eigvals for the multiplier. The multiplier's ||M||,
+which only scales a pass/fail test, is taken only if ||M||_F does not
+clear its floor.
 Loading a SYMP file adds the one SVD of its own make_symplectic. The
 phase and displacement are then folded in gate order into one running
 vector, and a displacement or phase that overflowed anywhere is refused
@@ -57,21 +58,16 @@ import numpy as np
 
 from .errors import (
     CircuitSyntaxError,
-    ConstraintViolationError,
     DimensionMismatchError,
     GaussFockError,
     ModeOutOfRangeError,
-    _require,
 )
 from .representation import _element_multiplier, _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (
-    DEFAULT_TOL,
     SymplecticElement,
-    _VIOLATED,
-    _constraint_residual,
-    _log_det_abs_u,
+    _check_pairs,
     apply,
     compose,
     identity,
@@ -307,14 +303,10 @@ def _stacked_pass(gates: list[Gate], dim: int,
         PU, PV = P[:, 0], P[:, 1]
         if not all(np.isfinite(A).all() for A in (Ug, Vg, P)):
             raise GaussFockError("a gate or running product is rejected")
-        # One SVD of V per stack serves the constraints and log det|U|.
-        s_gates = np.linalg.svd(Vg, compute_uv=False)
-        s_prods = np.linalg.svd(PV, compute_uv=False)
-        for U, V, s in ((Ug, Vg, s_gates), (PU[1:], PV[1:], s_prods[1:])):
-            _require(_constraint_residual(U, V, s), DEFAULT_TOL,
-                     ConstraintViolationError, _VIOLATED)
-        log_det_p = _log_det_abs_u(PV, s_prods)
-        chi = _multiplier(Ug, PU[:-1], PU[1:], _log_det_abs_u(Vg, s_gates),
+        # P[0], the identity, passes with residual 0.
+        _, log_det_g = _check_pairs(Ug, Vg)
+        _, log_det_p = _check_pairs(PU, PV)
+        chi = _multiplier(Ug, PU[:-1], PU[1:], log_det_g,
                           log_det_p[:-1], log_det_p[1:])
         log_chi = iter(np.log(chi))
         shifts = iter(hd)
@@ -331,7 +323,7 @@ def _stacked_pass(gates: list[Gate], dim: int,
                 h = Ug[k] @ h + Vg[k] @ np.conj(h)
                 k += 1
     _refuse_overflow(h, log_phase)
-    element = make_symplectic(PU[n], PV[n]) if n else identity(dim)
+    element = make_symplectic(PU[n], PV[n])
     return CompiledCircuit(h, element, complex(log_phase))
 
 

@@ -420,7 +420,7 @@ def exp_omega(A, cutoff: int) -> FockTensor:
     """
     A = as_matrix(A)
     _require(operator_norm(A), np.nextafter(1.0, 0.0), NotInDiscError,
-             "exp Omega requires operator norm below 1, got {residual:.6f}")
+             "exp Omega requires operator norm below 1, got {residual:.12g}")
     _check_symmetric(A)
     return _gaussian(A, np.zeros(A.shape[0], dtype=complex), 0.0, cutoff)
 
@@ -549,12 +549,11 @@ def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
     """
     Z, f = x.Z.Z, x.f
     U, s, Wh = np.linalg.svd(Z)
-    lo = np.sqrt(s[0]) + 1e-4 if s[0] > 0 else 1e-4
-    g = np.linspace(lo, 1.0 - 1e-4, 96)
+    # margins of 1e-4, narrowed only beyond ||Z|| = 0.9992 so that every
+    # disc point keeps a grid of 96 points
+    margin = min(1e-4, (1.0 - np.sqrt(s[0])) / 4.0)
+    g = np.linspace(np.sqrt(s[0]) + margin, 1.0 - margin, 96)
     g = g[(g * g > s[0]) & (g < 1.0)]
-    if not g.size:
-        raise NotInDiscError(
-            f"no valid scaling parameter for ||Z|| = {s[0]:.6f}")
     if not np.any(Z) and not np.any(f):
         return np.log(g), np.full(g.shape, -np.inf)
     a = np.conj(U).T @ f

@@ -181,9 +181,6 @@ def takagi(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     scale = operator_norm(A)
     _require(hs_norm(A - A.T), tol * (1.0 + scale), NotSymmetricError,
              f"matrix is not symmetric within {tol:g} * (1 + ||A||)")
-    if d == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros(0)
-
     M = np.block([[A.real, A.imag], [A.imag, -A.real]])
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(vals)[::-1][:d]

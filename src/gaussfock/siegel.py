@@ -63,7 +63,7 @@ def make_point(Z) -> SiegelPoint:
     _require(hs_norm(Z - Z.T), 1e-10 * (1.0 + norm), NotSymmetricError,
              "disc point must be a symmetric matrix")
     _require(norm, _DISC_LIMIT, NotInDiscError,
-             "operator norm {residual:.12f} is not below 1 - "
+             "operator norm {residual:.12g} is not below 1 - "
              f"{DISC_MARGIN:g}")
     Z = Z.copy()
     Z.flags.writeable = False

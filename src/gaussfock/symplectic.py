@@ -15,7 +15,7 @@ unitary; see polar_factorize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_VIOLATED = ("symplectic constraints violated: scaled residual {residual:.3e}"
-             " exceeds tol {tol:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +126,8 @@ def _constraint_residual(U, V, s=None):
     the four is returned; a NaN, left by an overflow, propagates.
     """
     nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
-    squares = _constraint_squares(U, V)
-    with np.errstate(invalid="ignore"):     # inf - inf once products overflow
+    with np.errstate(over="ignore", invalid="ignore"):   # left as inf or NaN
+        squares = _constraint_squares(U, V)
         nu2 = np.maximum(1.0 + nv * nv - np.sqrt(squares[0]), 0.0)
         herm_scale = 1.0 + nu2
         sym_scale = 1.0 + np.sqrt(nu2) * nv
@@ -137,27 +135,48 @@ def _constraint_residual(U, V, s=None):
         return np.max(np.sqrt(squares) / scales, axis=0)
 
 
-def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
-    """Validate the group constraints and build an element.
+def _check_pairs(U, V, tol=DEFAULT_TOL):
+    """(residual, log det|U|) of one pair or a stack (..., d, d), or a
+    ConstraintViolationError for the first pair whose residual is not at
+    most tol.
 
-    The scaled residual is _constraint_residual's, which the stacked
-    circuit compile applies to every gate and running product. It takes
-    ||U||^2 as the Weyl bound 1 + ||V||^2 - ||UU+ - VV+ - I||_F, at most
-    the measured ||U||^2, so the check is at least as tight. One SVD of V
-    gives both ||V|| and log det|U|; no SVD of U is taken.
+    The scaled residual is _constraint_residual's, with ||U||^2 taken as
+    the Weyl bound 1 + ||V||^2 - ||UU+ - VV+ - I||_F, at most the measured
+    ||U||^2, so the check is at least as tight. One SVD of V gives both
+    ||V|| and log det|U|; no SVD of U is taken.
     """
+    s = np.linalg.svd(V, compute_uv=False)
+    residual = _constraint_residual(U, V, s)
+    _require(residual, tol, ConstraintViolationError,
+             "symplectic constraints violated: scaled residual "
+             "{residual:.3e} exceeds tol {tol:g}")
+    return residual, _log_det_abs_u(V, s)
+
+
+def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
+    """Validate the group constraints by _check_pairs and build an element."""
     U = as_matrix(U)
     V = as_matrix(V, U.shape[0])
-    s = np.linalg.svd(V, compute_uv=False)
-    residual = float(_constraint_residual(U, V, s))
-    _require(residual, tol, ConstraintViolationError, _VIOLATED)
+    residual, log_det = _check_pairs(U, V, tol)
     U = U.copy()
     V = V.copy()
     U.flags.writeable = False
     V.flags.writeable = False
-    element = SymplecticElement(U, V, residual)
-    element.__dict__["log_det_abs_u"] = float(_log_det_abs_u(V, s))
+    element = SymplecticElement(U, V, float(residual))
+    element.__dict__["log_det_abs_u"] = float(log_det)
     return element
+
+
+def _finite(build):
+    """Run an element's build with numpy's overflow warnings off. An entry
+    that overflowed float64 or is NaN is then refused by the checks the
+    build ends in: make_symplectic's finite entries and constraints, or
+    from_unitary's unitarity."""
+    @wraps(build)
+    def guarded(*args, **kwargs) -> SymplecticElement:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build(*args, **kwargs)
+    return guarded
 
 
 def identity(dim: int) -> SymplecticElement:
@@ -165,6 +184,7 @@ def identity(dim: int) -> SymplecticElement:
     return make_symplectic(np.eye(dim), np.zeros((dim, dim)))
 
 
+@_finite
 def from_unitary(K) -> SymplecticElement:
     """Embed a unitary K as the element (K, 0)."""
     K = as_matrix(K)
@@ -174,6 +194,7 @@ def from_unitary(K) -> SymplecticElement:
     return make_symplectic(K, np.zeros(K.shape))
 
 
+@_finite
 def squeeze(A) -> SymplecticElement:
     """The positive element (cosh A, sinh A) for real symmetric A."""
     A = as_matrix(A)
@@ -188,6 +209,7 @@ def squeeze(A) -> SymplecticElement:
     return make_symplectic(U, V)
 
 
+@_finite
 def compose(r2: SymplecticElement, r1: SymplecticElement,
             tol: float = DEFAULT_TOL) -> SymplecticElement:
     """Group product r2 o r1 (r1 acts first)."""
@@ -281,6 +303,7 @@ def polar_factorize(r: SymplecticElement
     return K1, A, K2
 
 
+@_finite
 def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
                           tol: float = DEFAULT_TOL) -> SymplecticElement:
     """One-parameter subgroup r1 o (e^{-i m t}, 0) o r1^{-1} in closed form.

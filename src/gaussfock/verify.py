@@ -371,7 +371,7 @@ def _inverse_gate(g: circuits.Gate) -> circuits.Gate:
         return circuits.Gate("BS", g.modes, (-g.params[0], g.params[1]))
     if g.kind == "R":
         return circuits.Gate("R", g.modes, (-g.params[0],))
-    raise ValueError(f"cannot invert {g}")
+    raise GaussFockError(f"cannot invert {g}")
 
 
 SUITES = {

@@ -17,6 +17,7 @@ import pytest
 import gaussfock
 from gaussfock import siegel
 from gaussfock.errors import (
+    CircuitSyntaxError,
     ConstraintViolationError,
     GaussFockError,
     InternalInconsistencyError,
@@ -79,6 +80,12 @@ class TestRequire:
         assert err.value.tol < limit
 
 
+def test_circuit_syntax_error_survives_pickling():
+    copy = pickle.loads(pickle.dumps(CircuitSyntaxError(3, 4, "boom")))
+    assert type(copy) is CircuitSyntaxError
+    assert (str(copy), copy.line, copy.col) == ("line 3, col 4: boom", 3, 4)
+
+
 CHECK_ERRORS = {
     "InternalInconsistencyError", "ConstraintViolationError",
     "NotSymmetricError", "NotRealSymmetricError", "NotUnitaryError",
@@ -86,25 +93,31 @@ CHECK_ERRORS = {
 }
 
 
-def direct_raises() -> list[str]:
-    """'module.function: Error' for each raise of a check-error class
-    outside _require, found by walking the package's syntax trees."""
-    found = []
-
-    def visit(node, module: str, owner: str) -> None:
+def package_nodes():
+    """(module, enclosing function, node) for each node of the package's
+    syntax trees, functions themselves left out."""
+    def visit(node, module: str, owner: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
+                yield from visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Raise) and owner != "_require":
-                exc = child.exc
-                name = exc.func if isinstance(exc, ast.Call) else exc
-                if isinstance(name, ast.Name) and name.id in CHECK_ERRORS:
-                    found.append(f"{module}.{owner}: {name.id}")
-            visit(child, module, owner)
+            yield module, owner, child
+            yield from visit(child, module, owner)
 
     for path in sorted(Path(gaussfock.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, "<module>")
+        yield from visit(ast.parse(path.read_text()), path.stem, "<module>")
+
+
+def direct_raises() -> list[str]:
+    """'module.function: Error' for each raise of a check-error class
+    outside _require."""
+    found = []
+    for module, owner, node in package_nodes():
+        if isinstance(node, ast.Raise) and owner != "_require":
+            exc = node.exc
+            name = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(name, ast.Name) and name.id in CHECK_ERRORS:
+                found.append(f"{module}.{owner}: {name.id}")
     return sorted(found)
 
 
@@ -114,3 +127,18 @@ def test_direct_raises_of_check_errors():
         "states.scaled: InternalInconsistencyError",
         "symplectic.polar_factorize: FactorizationFailureError",
     ]
+
+
+def test_group_constraints_are_decided_at_one_site():
+    decisions = [
+        f"{module}.{owner}" for module, owner, node in package_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_require"
+        and any(isinstance(arg, ast.Name)
+                and arg.id == "ConstraintViolationError" for arg in node.args)]
+    assert decisions == ["symplectic._check_pairs"]
+    private = [alias.name for module, _, node in package_nodes()
+               if module == "circuits" and isinstance(node, ast.ImportFrom)
+               and node.module == "symplectic"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == ["_check_pairs"]

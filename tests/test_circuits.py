@@ -166,6 +166,16 @@ class TestCompile:
         with pytest.raises(ModeOutOfRangeError, match="distinct"):
             circuits.compile_circuit(circuits.parse("BS(1, 1, 0.5, 0.0)"), 2)
 
+    def test_unknown_gate_kind_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^gate X\(0\) is not a symplectic gate$"):
+            circuits.compile_circuit([circuits.Gate("X", (0,), ())], 2)
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^circuit dimension must be at least 1$"):
+            circuits.compile_circuit([], 0)
+
     def test_gate_order_matters(self):
         a = circuits.parse("D(0, 1.0, 0.0)\nS(0, 0.5, 0.0)")
         b = circuits.parse("S(0, 0.5, 0.0)\nD(0, 1.0, 0.0)")

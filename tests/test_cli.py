@@ -177,6 +177,13 @@ class TestRun:
         assert code == 2
         assert "must be finite" in err
 
+    def test_missing_circuit_file_is_input_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, ["run", "--circuit",
+                                        str(tmp_path / "absent.txt"),
+                                        "--dim", "1"])
+        assert code == 2
+        assert err.startswith("error: cannot read circuit file")
+
     def test_syntax_error_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("S(0, 0.5\n", encoding="utf-8")

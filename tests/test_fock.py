@@ -5,7 +5,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from gaussfock import fock, states, symplectic as sp
+from gaussfock import fock, siegel, states, symplectic as sp
 from gaussfock.errors import (
     DimensionMismatchError,
     GaussFockError,
@@ -57,6 +57,20 @@ class TestBasis:
             fock.vacuum_tensor(9, 20)
         with pytest.raises(GaussFockError):
             fock.vacuum_tensor(1, 200)
+        with pytest.raises(DimensionMismatchError,
+                           match="^dimension must be at least 1$"):
+            fock.vacuum_tensor(0, 3)
+        with pytest.raises(GaussFockError,
+                           match="^cutoff must be nonnegative$"):
+            fock.vacuum_tensor(2, -1)
+
+    def test_mismatched_sizes_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^tensors must share dimension and cutoff$"):
+            fock.inner(fock.vacuum_tensor(1, 3), fock.vacuum_tensor(2, 3))
+        with pytest.raises(DimensionMismatchError, match="^operator and "
+                           "tensor must share dimension and cutoff$"):
+            fock.apply_operator(fock.create([1.0], 3), fock.vacuum_tensor(1, 4))
 
 
 class TestSymmetricProduct:
@@ -403,6 +417,21 @@ class TestNormsAndTail:
             dn = fock.degree_norms(big)
             true_tail = float(np.sqrt(np.sum(dn[N + 1:] ** 2)))
             assert true_tail <= fock.tail_bound(x, N) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("c", [1 - 1e-7, 1 - 1e-8,
+                                   np.nextafter(1 - siegel.DISC_MARGIN, 0)])
+    def test_tail_bound_up_to_the_disc_limit(self, c):
+        # the grid of scaling parameters came out empty this close to 1
+        x = states.make_state([[c]], [0.0])
+        # ||Phi(c)||^2 = (1 - c^2)^(-1/2); degree 2n holds c^2n C(2n, n)/4^n
+        kept = sum(c ** (2 * n) * comb(2 * n, n) / 4 ** n for n in range(3))
+        true_tail = np.sqrt(((1 - c) * (1 + c)) ** -0.5 - kept)
+        assert true_tail <= fock.tail_bound(x, 5) < np.inf
+        with pytest.raises(GaussFockError, match="^no cutoff up to 170 "
+                           "brings the tail bound below 1e-08$"):
+            fock.cutoff_for(x, 1e-8)
+        with pytest.raises(GaussFockError, match="^tail bound exp"):
+            fock.tail_bound(states.make_state([[c]], [0.3]), 5)
 
     def test_tail_bound_decreases_with_cutoff(self):
         x = states.random_state(2, rng, max_z=0.5, max_f=0.5)

@@ -106,6 +106,11 @@ class TestEigLogDet:
         with pytest.raises(GaussFockError, match="must be finite"):
             eig_log_det(M)
 
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"^expected a stack "
+                           r"of square matrices, got shape \(2, 2, 3\)$"):
+            eig_log_det(np.zeros((2, 2, 3)))
+
     def test_singular_matrix_rejected(self):
         M = np.diag([1.0, 0.0, 2.0]).astype(complex)
         with pytest.raises(SingularMatrixError):
@@ -165,6 +170,11 @@ class TestEigLogDetFloor:
 
 
 class TestTakagi:
+    def test_empty_matrix(self):
+        F, alphas = takagi(np.zeros((0, 0)))
+        assert (F.shape, F.dtype) == ((0, 0), complex)
+        assert (alphas.shape, alphas.dtype) == ((0,), float)
+
     def test_zero_matrix(self):
         F, alphas = takagi(np.zeros((3, 3)))
         assert np.allclose(alphas, 0.0)

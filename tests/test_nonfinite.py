@@ -11,7 +11,12 @@ import pytest
 
 from gaussfock import fock, serialization as ser, siegel, states
 from gaussfock import symplectic as sp
-from gaussfock.errors import GaussFockError
+from gaussfock.errors import (
+    ConstraintViolationError,
+    GaussFockError,
+    NotInDiscError,
+    NotUnitaryError,
+)
 from gaussfock.linalg import takagi
 
 nan, inf = float("nan"), float("inf")
@@ -39,12 +44,63 @@ def test_nonfinite_input_raises_typed_error(name):
         CASES[name]()
 
 
-def test_overflowing_constraint_residual_is_refused():
+def _assert_constraint_residual_refused(V, residual):
     # finite entries whose constraint products overflow: the scaled
-    # residual is NaN, which must not pass as at most tol
-    with np.errstate(over="ignore"), pytest.raises(
-            GaussFockError, match="constraints violated"):
-        sp.make_symplectic([[1e200]], [[0.0]])
+    # residual is inf or NaN, which must not pass as at most tol, and
+    # numpy's overflow warning must not leak first
+    with pytest.raises(ConstraintViolationError) as err:
+        sp.make_symplectic([[1e200]], [[V]])
+    assert str(err.value) == ("symplectic constraints violated: scaled "
+                              f"residual {residual} exceeds tol 1e-10")
+
+
+def test_overflowing_constraint_residual_is_refused():
+    _assert_constraint_residual_refused(0.0, "inf")
+
+
+def test_overflowing_constraint_residual_nan_is_refused():
+    _assert_constraint_residual_refused(1e200, "nan")
+
+
+# Finite arguments whose element overflows float64 while it is built: each
+# leaked numpy's RuntimeWarning.
+OVERFLOWING_BUILDS = {
+    "from_unitary": (lambda: sp.from_unitary([[1e200]]), NotUnitaryError,
+                     r"^matrix is not unitary: \|\|K\+K - I\|\| = inf$"),
+    "squeeze": (lambda: sp.squeeze([[800.0]]), GaussFockError,
+                "^matrix entries must be finite$"),
+    "compose 400": (lambda: sp.compose(sp.squeeze([[400.0]]),
+                                       sp.squeeze([[400.0]])),
+                    ConstraintViolationError, "scaled residual nan"),
+    # squeeze(355.5) passes its check, but (U, V) o (U, V) overflows
+    "compose 355.5": (lambda: sp.compose(sp.squeeze([[355.5]]),
+                                         sp.squeeze([[355.5]])),
+                      GaussFockError, "^matrix entries must be finite$"),
+    "conjugated_free_field": (lambda: sp.conjugated_free_field(
+        sp.squeeze([[355.5]]), [1.0], 0.7), GaussFockError,
+        "^matrix entries must be finite$"),
+    "random_element": (lambda: sp.random_element(
+        2, np.random.default_rng(0), squeeze_scale=800.0),
+        ConstraintViolationError, "scaled residual nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_BUILDS))
+def test_overflowing_element_build_is_refused(name):
+    build, error, message = OVERFLOWING_BUILDS[name]
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_huge_disc_norm_prints_short():
+    # .12f and .6f of 1e200 printed all 201 digits
+    with pytest.raises(NotInDiscError) as err:
+        siegel.make_point([[1e200]])
+    assert str(err.value) == "operator norm 1e+200 is not below 1 - 1e-09"
+    with pytest.raises(NotInDiscError) as err:
+        fock.exp_omega([[1e200]], 3)
+    assert str(err.value) == ("exp Omega requires operator norm below 1, "
+                              "got 1e+200")
 
 
 # A state whose exponents overflow float64: each closed form must refuse

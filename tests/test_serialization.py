@@ -45,6 +45,16 @@ class TestMatrix:
         with pytest.raises(GaussFockError, match="missing key"):
             ser.decode_matrix({"rows": 1, "data": [[0.0, 0.0]]})
 
+    def test_non_object_rejected(self):
+        with pytest.raises(GaussFockError,
+                           match="^expected an object for a matrix$"):
+            ser.decode_matrix([1])
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(GaussFockError, match="^matrix rows/cols must "
+                           "be ints, data an array$"):
+            ser.decode_matrix({"rows": 1.0, "cols": 1, "data": []})
+
     def test_wrong_entry_count(self):
         with pytest.raises(GaussFockError, match="entries"):
             ser.decode_matrix({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
@@ -55,6 +65,11 @@ class TestMatrix:
 
 
 class TestComposites:
+    def test_non_object_state_rejected(self):
+        with pytest.raises(GaussFockError,
+                           match="^expected an object for a state$"):
+            ser.decode_state([])
+
     def test_symplectic_round_trip(self):
         r = sp.random_element(3, rng)
         out = ser.decode_symplectic(ser.encode_symplectic(r))

@@ -230,6 +230,11 @@ class TestResidual:
         x = states.random_state(2, rng)
         assert states.state_residual(x, x) == 0.0
 
+    def test_different_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^states have different dimensions$"):
+            states.state_residual(states.vacuum(1), states.vacuum(2))
+
     @pytest.mark.parametrize("a, b", [(800, 799), (-800, -801), (0, -1),
                                       (799, 800)])
     def test_state_residual_amplitude_at_extreme_log_amp(self, a, b):

@@ -45,3 +45,10 @@ def test_checks_keep_their_order_and_tolerances():
 def test_trials_below_one_rejected(trials):
     with pytest.raises(GaussFockError, match="trials must be at least 1"):
         ver.run_suite("dsl", 42, trials, 1e-9)
+
+
+def test_inverse_of_a_symp_gate_is_a_typed_error():
+    gate = ver.circuits.Gate("SYMP", (), (), "a.json")
+    with pytest.raises(GaussFockError,
+                       match=r'^cannot invert SYMP\("a\.json"\)$'):
+        ver._inverse_gate(gate)
