@@ -18,7 +18,7 @@ symplectic merge; run applies the normal form to the vacuum. The sequential
 route (gate by gate on the state) agrees with the normal form including the
 global phase.
 
-compile_circuit first runs a stacked pass. It builds the gates as arrays
+compile_circuit runs one stacked pass. It builds the gates as arrays
 with one fancy-indexed assignment per gate kind (SYMP files load one at a
 time): the n symplectic gates as (n, d, d) stacks Ug, Vg and the D shifts
 as rows. It folds the running products (U3, V3) = Ug (U1, V1) +
@@ -35,17 +35,20 @@ which only scales a pass/fail test, is taken only if ||M||_F does not
 clear its floor.
 Loading a SYMP file adds the one SVD of its own make_symplectic. The
 phase and displacement are then folded in gate order into one running
-vector, and a displacement or phase that overflowed anywhere is refused
-at the end: a non-finite entry stays non-finite through every later
-gate. The result is byte for byte the gate-by-gate fold through compose
+vector. The result is byte for byte the gate-by-gate fold through compose
 and multiplier.
 
-Only when the stacked pass fails, a build error included, does
-compile_circuit run that gate-by-gate fold, which raises the first failure
-by construction. It checks gate i in this order: build it (mode range, a
-SYMP file, finite entries), validate it, validate its product, evaluate its
-multiplier, then check the displacement it acts on. After the last gate it
-refuses a displacement or phase that is not finite.
+The checks run in the order of one gate's stages: build (mode range, SYMP
+file), finite gate entries, gate constraints, finite product entries,
+product constraints, multiplier, finite displacement into the gate and
+finite D shift. A failing pass may raise for a later gate at an earlier
+stage, so compile_circuit then bisects for the shortest failing prefix
+and raises its error, the first failure in (gate, stage) order. This is
+exact: each check decides every entry on its own and a non-finite
+displacement stays non-finite through later gates, so failure is
+monotone in prefix length; in the shortest failing prefix only the last
+gate fails, and the check order picks its first failing stage. After a
+pass, compile_circuit refuses a displacement or phase that overflowed.
 """
 
 from __future__ import annotations
@@ -62,18 +65,10 @@ from .errors import (
     GaussFockError,
     ModeOutOfRangeError,
 )
-from .representation import _element_multiplier, _multiplier, act
+from .representation import _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
-from .symplectic import (
-    SymplecticElement,
-    _check_pairs,
-    apply,
-    compose,
-    identity,
-    make_symplectic,
-    symplectic_form,
-)
+from .symplectic import SymplecticElement, _check_pairs, make_symplectic
 
 __all__ = [
     "Gate",
@@ -282,15 +277,17 @@ def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
     return _gate_arrays([gate], dim, ".")[2][0]
 
 
-def _refuse_overflow(h: np.ndarray, log_phase) -> None:
-    """Refuse a fold whose displacement h or phase overflowed."""
-    if not (np.isfinite(h).all() and np.isfinite(log_phase)):
-        raise GaussFockError("vector entries must be finite")
+def _require_finite(kind: str, *arrays) -> None:
+    """Refuse non-finite entries with the error as_vector or as_matrix
+    gives; kind is "vector" or "matrix"."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise GaussFockError(f"{kind} entries must be finite")
 
 
 def _stacked_pass(gates: list[Gate], dim: int,
                   base_dir: str) -> CompiledCircuit:
-    """The fold over (n, d, d) stacks; any failure raises a GaussFockError."""
+    """The fold over (n, d, d) stacks, its checks in the order of one gate's
+    stages; any failure raises a GaussFockError."""
     Ug, Vg, hd = _gate_arrays(gates, dim, base_dir)
     n = len(Ug)
     # P[k] = (U, V) of the product of the first k gates.
@@ -301,19 +298,20 @@ def _stacked_pass(gates: list[Gate], dim: int,
             p = P[k]
             np.add(ug @ p, vg @ np.conj(p[::-1]), out=P[k + 1])
         PU, PV = P[:, 0], P[:, 1]
-        if not all(np.isfinite(A).all() for A in (Ug, Vg, P)):
-            raise GaussFockError("a gate or running product is rejected")
-        # P[0], the identity, passes with residual 0.
+        _require_finite("matrix", Ug, Vg)
         _, log_det_g = _check_pairs(Ug, Vg)
+        _require_finite("matrix", P)
+        # P[0], the identity, passes with residual 0.
         _, log_det_p = _check_pairs(PU, PV)
         chi = _multiplier(Ug, PU[:-1], PU[1:], log_det_g,
                           log_det_p[:-1], log_det_p[1:])
         log_chi = iter(np.log(chi))
         shifts = iter(hd)
-        h = np.zeros(dim, dtype=complex)
+        h = h_last = np.zeros(dim, dtype=complex)
         log_phase = 0.0 + 0.0j
         k = 0
         for gate in gates:
+            h_last = h
             if gate.kind == "D":
                 hg = next(shifts)
                 log_phase += -1j * np.vdot(hg, h).imag
@@ -322,27 +320,9 @@ def _stacked_pass(gates: list[Gate], dim: int,
                 log_phase += next(log_chi)
                 h = Ug[k] @ h + Vg[k] @ np.conj(h)
                 k += 1
-    _refuse_overflow(h, log_phase)
+    # h_last, the input to the last gate, stands for every gate's input.
+    _require_finite("vector", hd, h_last)
     element = make_symplectic(PU[n], PV[n])
-    return CompiledCircuit(h, element, complex(log_phase))
-
-
-def _gate_fold(gates: list[Gate], dim: int, base_dir: str) -> CompiledCircuit:
-    """The fold one gate at a time; it raises the first failure."""
-    h = np.zeros(dim, dtype=complex)
-    element, log_phase = identity(dim), 0.0 + 0.0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        for gate in gates:
-            if gate.kind == "D":
-                hg = _displacement_vector(gate, dim)
-                log_phase += -1j * symplectic_form(hg, h)
-                h = hg + h
-            else:
-                rg = _gate_element(gate, dim, base_dir)
-                product = compose(rg, element)
-                log_phase += np.log(_element_multiplier(rg, element, product))
-                h, element = apply(rg, h), product
-    _refuse_overflow(h, log_phase)
     return CompiledCircuit(h, element, complex(log_phase))
 
 
@@ -350,16 +330,29 @@ def compile_circuit(gates: list[Gate], dim: int,
                     base_dir: str = ".") -> CompiledCircuit:
     """Fold a gate list into the normal form e^{log_phase} W(h) T(R).
 
-    The stacked pass, the gate-by-gate fold and the order of its checks are
-    in the module docstring.
+    The stacked pass is the only route. If it fails, the shortest failing
+    prefix, found by bisection, raises the first failure in (gate, stage)
+    order; the module docstring says why that is exact.
     """
     if dim < 1:
         raise DimensionMismatchError("circuit dimension must be at least 1")
     try:
-        return _stacked_pass(gates, dim, base_dir)
-    except GaussFockError:
-        pass
-    return _gate_fold(gates, dim, base_dir)
+        cc = _stacked_pass(gates, dim, base_dir)
+    except GaussFockError as exc:
+        error = exc
+    else:
+        _require_finite("vector", cc.displacement, cc.log_phase)
+        return cc
+    # gates[:lo] passes and gates[:hi] fails with error.
+    lo, hi = 0, len(gates)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _stacked_pass(gates[:mid], dim, base_dir)
+            lo = mid
+        except GaussFockError as exc:
+            hi, error = mid, exc
+    raise error
 
 
 def run(gates: list[Gate], dim: int, base_dir: str = ".") -> UltracoherentState:

@@ -74,13 +74,17 @@ class ModeOutOfRangeError(GaussFockError):
 
 def _require(residual, tol, error: type[GaussFockError], message: str) -> None:
     """Pass if and only if residual <= tol, so a NaN residual fails. An array
-    fails for its first failing entry. message is a template with {residual}
-    and {tol} slots, filled only on failure; the error raised carries both."""
-    if isinstance(residual, np.ndarray):
-        bad = np.flatnonzero(~(residual <= tol))
+    residual or tol fails for its first failing entry, and reports that
+    entry's residual and tol. message is a template with {residual} and
+    {tol} slots, filled only on failure; the error raised carries both."""
+    if isinstance(residual, np.ndarray) or isinstance(tol, np.ndarray):
+        failed = ~(residual <= tol)
+        bad = np.flatnonzero(failed)
         if not bad.size:
             return
-        residual = residual.flat[bad[0]]
+        residual = np.broadcast_to(residual, failed.shape).flat[bad[0]]
+        if isinstance(tol, np.ndarray):
+            tol = np.broadcast_to(tol, failed.shape).flat[bad[0]]
     elif residual <= tol:
         return
     exc = error(message.format(residual=residual, tol=tol))

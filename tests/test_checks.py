@@ -25,6 +25,7 @@ from gaussfock.errors import (
     _require,
 )
 from gaussfock.linalg import as_vector
+from gaussfock.symplectic import _check_pairs
 
 TEMPLATE = "residual {residual:.3e} exceeds tol {tol:g}"
 nan = float("nan")
@@ -55,6 +56,27 @@ class TestRequire:
             _require(stack, 1e-10, InternalInconsistencyError, TEMPLATE)
         assert err.value.residual == 3e-10      # first in order, not largest
         assert str(err.value) == "residual 3.000e-10 exceeds tol 1e-10"
+
+    def test_array_tol_reports_the_failing_entry(self):
+        with pytest.raises(InternalInconsistencyError) as err:
+            _require(np.array([5e-10, 5e-10]), np.array([1e-9, 1e-10]),
+                     InternalInconsistencyError, TEMPLATE)
+        assert (err.value.residual, err.value.tol) == (5e-10, 1e-10)
+        assert str(err.value) == "residual 5.000e-10 exceeds tol 1e-10"
+        _require(0.0, np.array([0.0, 1.0]), GaussFockError, TEMPLATE)
+
+    def test_pair_stack_with_a_tol_per_pair(self):
+        # the second pair's U is off by 5e-10 in a residual scaled by
+        # 1 + ||U||^2 = 2: it passes under 1e-9 and fails under 1e-10
+        U = np.stack([np.eye(1), np.eye(1) + 5e-10])
+        V = np.zeros((2, 1, 1))
+        _check_pairs(U, V, np.array([1e-10, 1e-9]))
+        with pytest.raises(ConstraintViolationError) as err:
+            _check_pairs(U, V, np.array([1e-9, 1e-10]))
+        assert err.value.tol == 1e-10
+        assert str(err.value) == (
+            "symplectic constraints violated: scaled residual 5.000e-10 "
+            "exceeds tol 1e-10")
 
     def test_message_is_formatted_only_on_failure(self):
         _require(0.0, 1.0, GaussFockError, "{no_such_slot}")

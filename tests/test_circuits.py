@@ -1,6 +1,7 @@
 """Tests for the circuit language: parsing, normal form, execution."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gaussfock import circuits, representation as rep, states, verify
 from gaussfock import symplectic as sp
 from gaussfock.errors import (
     CircuitSyntaxError,
+    ConstraintViolationError,
     DimensionMismatchError,
     GaussFockError,
     InternalInconsistencyError,
@@ -218,14 +220,8 @@ def reference_fold(gates, dim):
     return h, element, complex(log_phase)
 
 
-def _fold_must_not_run(*args):
-    raise AssertionError("a compile that succeeds must not run the gate fold")
-
-
 def assert_matches_reference(gates, dim):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(circuits, "_gate_fold", _fold_must_not_run)
-        cc = circuits.compile_circuit(gates, dim)
+    cc = circuits.compile_circuit(gates, dim)
     h, element, log_phase = reference_fold(gates, dim)
     assert np.array_equal(cc.element.U, element.U)
     assert np.array_equal(cc.element.V, element.V)
@@ -367,10 +363,8 @@ class TestErrorOrder:
     ])
     def test_overflow_after_the_last_gate_is_refused(self, text, dim):
         gates = circuits.parse(text)
-        for route in (circuits.compile_circuit, circuits._stacked_pass,
-                      circuits._gate_fold):
-            assert raised(route, gates, dim, ".") == (
-                GaussFockError, "vector entries must be finite")
+        assert raised(circuits.compile_circuit, gates, dim) == (
+            GaussFockError, "vector entries must be finite")
 
     @pytest.mark.parametrize(
         "line", ["S(0, 800, 0)", "R(0, 1e400)", "D(0, 1e400, 0)"])
@@ -381,7 +375,7 @@ class TestErrorOrder:
     def test_singular_running_product_gives_the_fold_error(self):
         # Squeezes up to |r| = 24 make a running product numerically
         # singular; the stacked multiplier's solve must raise a typed error
-        # so that the gate-by-gate fold reports the first failure.
+        # so that the bisection over prefixes reaches the first failure.
         dim, gates = large_squeeze_circuit(24)
         got = raised(circuits.compile_circuit, gates, dim)
         assert got == raised(reference_fold, gates, dim)
@@ -389,20 +383,33 @@ class TestErrorOrder:
         assert got[1].startswith("multiplier modulus deviates from 1 by")
 
     def test_later_stack_failure_does_not_mask_the_first(self, monkeypatch):
-        # A stacked eig_log_det that fails (as if a later gate were below
-        # the eigenvalue floor) must still give gate 3112's modulus error.
+        # A stacked eig_log_det that fails on every stack reaching past
+        # gate 3150 (as if that gate were below the eigenvalue floor) fails
+        # before the modulus check, but must still give gate 3112's
+        # modulus error.
         gates = long_circuit(3200)
+        n_symplectic = sum(g.kind != "D" for g in gates[:3150])
         real = rep.eig_log_det
 
-        def floor_fails_on_stacks(M):
-            if np.ndim(M) > 2:
+        def floor_fails_past_3150(M):
+            if np.ndim(M) > 2 and len(M) > n_symplectic:
                 raise SingularMatrixError("a later gate is below the floor")
             return real(M)
 
-        monkeypatch.setattr(rep, "eig_log_det", floor_fails_on_stacks)
+        monkeypatch.setattr(rep, "eig_log_det", floor_fails_past_3150)
         assert raised(circuits.compile_circuit, gates, 4) == (
             InternalInconsistencyError,
             "multiplier modulus deviates from 1 by 2.296e-10")
+
+    def test_gate_constraints_come_before_finite_products(self):
+        # cosh 400 is finite but its square overflows, so the second
+        # gate's residual is NaN, and the product of both is not finite.
+        # Gate by gate, the gate's constraints fail first.
+        gates = circuits.parse("S(0, 354, 0)\nS(0, 400, 0)")
+        got = raised(circuits.compile_circuit, gates, 1)
+        assert got == raised(reference_fold, gates, 1)
+        assert got == (ConstraintViolationError, "symplectic constraints "
+                       "violated: scaled residual nan exceeds tol 1e-10")
 
 
 def lapack_calls(monkeypatch, gates, names):
@@ -414,7 +421,6 @@ def lapack_calls(monkeypatch, gates, names):
             np.linalg, name,
             lambda A, *a, name=name, call=call, **k:
                 calls.append((name, np.shape(A))) or call(A, *a, **k))
-    monkeypatch.setattr(circuits, "_gate_fold", _fold_must_not_run)
     circuits.compile_circuit(gates, 4)
     return calls
 
@@ -443,6 +449,23 @@ class TestCallBudget:
                              ("eigvals", "solve"))
         assert [(name, len(shape)) for name, shape in calls] == [
             ("solve", 3), ("solve", 3), ("eigvals", 3)]
+
+    def test_stacked_passes_of_a_compile(self, monkeypatch):
+        # A passing compile runs one pass; a failing one bisects its
+        # prefixes, about log2 n passes more.
+        passes = []
+        real = circuits._stacked_pass
+        monkeypatch.setattr(circuits, "_stacked_pass",
+                            lambda gates, *a: passes.append(len(gates))
+                            or real(gates, *a))
+        circuits.compile_circuit(long_circuit(150), 4)
+        assert passes == [150]
+        passes.clear()
+        n = 5000
+        with pytest.raises(InternalInconsistencyError):
+            circuits.compile_circuit(long_circuit(n), 4)
+        assert passes[0] == n
+        assert len(passes) <= math.ceil(math.log2(n + 1)) + 2
 
 
 class TestRun:
