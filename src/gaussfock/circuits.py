@@ -33,10 +33,10 @@ three SVDs in all (V of the gates and V of the products, each giving both
 solves and one stacked eigvals for the multiplier. The multiplier's ||M||,
 which only scales a pass/fail test, is taken only if ||M||_F does not
 clear its floor.
-Loading a SYMP file adds the one SVD of its own make_symplectic. The
-phase and displacement are then folded in gate order into one running
-vector. The result is byte for byte the gate-by-gate fold through compose
-and multiplier.
+Loading a SYMP file, once per compile, adds the one SVD of its own
+make_symplectic. The phase and displacement are then folded in gate order
+into one running vector. The result is byte for byte the gate-by-gate fold
+through compose and multiplier.
 
 The checks run in the order of one gate's stages: build (mode range, SYMP
 file), finite gate entries, gate constraints, finite product entries,
@@ -64,7 +64,9 @@ from .errors import (
     DimensionMismatchError,
     GaussFockError,
     ModeOutOfRangeError,
+    _quiet,
 )
+from .linalg import _require_finite
 from .representation import _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
@@ -201,14 +203,16 @@ def _check_modes(gate: Gate, dim: int) -> None:
             f"gate {gate} must couple two distinct modes")
 
 
-def _gate_arrays(gates: list[Gate], dim: int, base_dir: str
+@_quiet
+def _gate_arrays(gates: list[Gate], dim: int, base_dir: str, loaded: dict
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gates as arrays, each in gate order, not yet validated.
 
     Returns the (n, d, d) stacks Ug, Vg of the symplectic gates and the
     (m, d) shifts of the D gates. The entries of every S, BS and R gate,
     and of every D gate, are set by one fancy-indexed assignment per kind;
-    a SYMP file is loaded and validated here, one at a time. A parameter
+    a SYMP file is loaded and validated here, one at a time, unless loaded,
+    the caller's memo of elements by path, holds it already. A parameter
     that overflows leaves a non-finite entry, without a numpy warning, for
     the caller to refuse with a typed error. A mode out of range, a bad
     SYMP file or an unknown kind raises for its gate.
@@ -225,7 +229,9 @@ def _gate_arrays(gates: list[Gate], dim: int, base_dir: str
             path = gate.source
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            element = decode_symplectic(load_json(path))
+            if path not in loaded:
+                loaded[path] = decode_symplectic(load_json(path))
+            element = loaded[path]
             if element.dim != dim:
                 raise DimensionMismatchError(
                     f"{gate} has dimension {element.dim}, circuit declares "
@@ -245,50 +251,43 @@ def _gate_arrays(gates: list[Gate], dim: int, base_dir: str
         Ug[k], Vg[k] = element.U, element.V
     cols = {kind: np.array(rows[kind], dtype=float).T
             for kind in rows if rows[kind]}
-    with np.errstate(over="ignore", invalid="ignore"):
-        if "D" in cols:
-            j, mode, r, phi = cols["D"]
-            j, mode = j.astype(int), mode.astype(int)
-            h[j, mode] = r * np.exp(1j * phi)
-        if "S" in cols:
-            k, mode, r, phi = cols["S"]
-            k, mode = k.astype(int), mode.astype(int)
-            Ug[k, mode, mode] = np.cosh(r)
-            Vg[k, mode, mode] = np.exp(1j * phi) * np.sinh(r)
-        if "BS" in cols:
-            k, i, j, theta, phi = cols["BS"]
-            k, i, j = k.astype(int), i.astype(int), j.astype(int)
-            Ug[k, i, i] = Ug[k, j, j] = np.cos(theta)
-            Ug[k, i, j] = -np.exp(1j * phi) * np.sin(theta)
-            Ug[k, j, i] = np.exp(-1j * phi) * np.sin(theta)
-        if "R" in cols:
-            k, mode, theta = cols["R"]
-            k, mode = k.astype(int), mode.astype(int)
-            Ug[k, mode, mode] = np.exp(1j * theta)
+    if "D" in cols:
+        j, mode, r, phi = cols["D"]
+        j, mode = j.astype(int), mode.astype(int)
+        h[j, mode] = r * np.exp(1j * phi)
+    if "S" in cols:
+        k, mode, r, phi = cols["S"]
+        k, mode = k.astype(int), mode.astype(int)
+        Ug[k, mode, mode] = np.cosh(r)
+        Vg[k, mode, mode] = np.exp(1j * phi) * np.sinh(r)
+    if "BS" in cols:
+        k, i, j, theta, phi = cols["BS"]
+        k, i, j = k.astype(int), i.astype(int), j.astype(int)
+        Ug[k, i, i] = Ug[k, j, j] = np.cos(theta)
+        Ug[k, i, j] = -np.exp(1j * phi) * np.sin(theta)
+        Ug[k, j, i] = np.exp(-1j * phi) * np.sin(theta)
+    if "R" in cols:
+        k, mode, theta = cols["R"]
+        k, mode = k.astype(int), mode.astype(int)
+        Ug[k, mode, mode] = np.exp(1j * theta)
     return Ug, Vg, h
 
 
 def _gate_element(gate: Gate, dim: int, base_dir: str) -> SymplecticElement:
-    Ug, Vg, _ = _gate_arrays([gate], dim, base_dir)
+    Ug, Vg, _ = _gate_arrays([gate], dim, base_dir, {})
     return make_symplectic(Ug[0], Vg[0])
 
 
 def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
-    return _gate_arrays([gate], dim, ".")[2][0]
+    return _gate_arrays([gate], dim, ".", {})[2][0]
 
 
-def _require_finite(kind: str, *arrays) -> None:
-    """Refuse non-finite entries with the error as_vector or as_matrix
-    gives; kind is "vector" or "matrix"."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise GaussFockError(f"{kind} entries must be finite")
-
-
-def _stacked_pass(gates: list[Gate], dim: int,
-                  base_dir: str) -> CompiledCircuit:
+def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
+                  loaded: dict) -> CompiledCircuit:
     """The fold over (n, d, d) stacks, its checks in the order of one gate's
-    stages; any failure raises a GaussFockError."""
-    Ug, Vg, hd = _gate_arrays(gates, dim, base_dir)
+    stages; any failure raises a GaussFockError. loaded is _gate_arrays'
+    memo of SYMP elements."""
+    Ug, Vg, hd = _gate_arrays(gates, dim, base_dir, loaded)
     n = len(Ug)
     # P[k] = (U, V) of the product of the first k gates.
     P = np.empty((n + 1, 2, dim, dim), dtype=complex)
@@ -332,12 +331,14 @@ def compile_circuit(gates: list[Gate], dim: int,
 
     The stacked pass is the only route. If it fails, the shortest failing
     prefix, found by bisection, raises the first failure in (gate, stage)
-    order; the module docstring says why that is exact.
+    order; the module docstring says why that is exact. Each SYMP file is
+    loaded at most once per call, however many passes run.
     """
     if dim < 1:
         raise DimensionMismatchError("circuit dimension must be at least 1")
+    loaded = {}
     try:
-        cc = _stacked_pass(gates, dim, base_dir)
+        cc = _stacked_pass(gates, dim, base_dir, loaded)
     except GaussFockError as exc:
         error = exc
     else:
@@ -348,7 +349,7 @@ def compile_circuit(gates: list[Gate], dim: int,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _stacked_pass(gates[:mid], dim, base_dir)
+            _stacked_pass(gates[:mid], dim, base_dir, loaded)
             lo = mid
         except GaussFockError as exc:
             hi, error = mid, exc

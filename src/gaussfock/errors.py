@@ -1,5 +1,8 @@
 """Exception types raised by validated constructors and numerical routines,
-and the one routine that decides every internal check."""
+the one routine that decides every internal check, and the one decorator
+that quiets numpy's overflow warnings."""
+
+from functools import wraps
 
 import numpy as np
 
@@ -90,3 +93,14 @@ def _require(residual, tol, error: type[GaussFockError], message: str) -> None:
     exc = error(message.format(residual=residual, tol=tol))
     exc.residual, exc.tol = residual, tol
     raise exc
+
+
+def _quiet(build):
+    """build, run with numpy's overflow and invalid-value warnings off, for a
+    result that a check refuses after it when an entry overflowed float64 or
+    is NaN. Each call enters a fresh errstate, so quiet functions nest."""
+    @wraps(build)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build(*args, **kwargs)
+    return quiet

@@ -20,8 +20,8 @@ The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
 basis from per-degree step tables of the basis: each degree is one gather of
 [f | A] by mu, one gather of the coefficients at the parent and its lower
-neighbours, and one einsum. A Gaussian or exponential vector whose entries
-overflow float64 is refused with a GaussFockError. Gamma(B) builds each
+neighbours, and one einsum. Every FockTensor refuses an entry that
+overflows float64 or is NaN with a GaussFockError. Gamma(B) builds each
 column from the column of its parent m - e_mu the same way. General products
 are exact convolutions, a shift-add over the nonzeros of the sparser factor:
 FFT noise of ~1e-16 in high-degree entries, under m! weights up to ~1e150,
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,9 +42,17 @@ from .errors import (
     InvalidAlphaError,
     NotInDiscError,
     NotSymmetricError,
+    _quiet,
     _require,
 )
-from .linalg import as_matrix, as_vector, hs_norm, involution, operator_norm
+from .linalg import (
+    _finite_value,
+    as_matrix,
+    as_vector,
+    hs_norm,
+    involution,
+    operator_norm,
+)
 from .states import UltracoherentState
 
 __all__ = [
@@ -83,7 +91,8 @@ class FockTensor:
     cutoff, coeffs) takes the dense grid of shape (cutoff+1,)^dim and keeps
     its entries of total degree up to the cutoff (make_tensor also checks
     that the others vanish). .coeffs is that grid, built on first read and
-    kept, read-only.
+    kept, read-only. Both constructors refuse a coefficient that overflows
+    float64 or is NaN.
     """
 
     def __init__(self, dim: int, cutoff: int, coeffs):
@@ -102,6 +111,7 @@ class FockTensor:
         return F
 
     def _init(self, dim: int, cutoff: int, vector: np.ndarray) -> None:
+        _finite_value("Fock coefficient", np.abs(vector.view(float)).max())
         vector.flags.writeable = False
         self.dim, self.cutoff, self.vector, self._coeffs = (
             dim, cutoff, vector, None)
@@ -303,6 +313,7 @@ def _common(F: FockTensor, G: FockTensor) -> _Basis:
     return _basis(F.dim, F.cutoff)
 
 
+@_quiet
 def symmetric_product(F: FockTensor, G: FockTensor) -> FockTensor:
     """F v G: plain coefficient convolution truncated at the cutoff.
 
@@ -348,21 +359,7 @@ def tensor_residual(F: FockTensor, G: FockTensor) -> float:
     return float(np.sqrt(np.sum(b.weight * np.abs(F.vector - G.vector) ** 2)))
 
 
-def _finite(build):
-    """Run an oracle vector's build with numpy's overflow warnings off, and
-    refuse the finished vector when an entry overflowed float64 or is NaN."""
-    @wraps(build)
-    def guarded(*args, **kwargs) -> FockTensor:
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = build(*args, **kwargs)
-        _require(np.abs(F.vector.view(float)).max(), np.finfo(float).max,
-                 GaussFockError, "Fock coefficient {residual:.3e} overflows "
-                 "float64")
-        return F
-    return guarded
-
-
-@_finite
+@_quiet
 def exp_vector(f, cutoff: int) -> FockTensor:
     """exp f = sum_n f^{vn}/n!, coefficients prod f_mu^{m_mu}/m_mu!."""
     f = as_vector(f)
@@ -392,7 +389,7 @@ def omega_tensor(A, cutoff: int) -> FockTensor:
     return FockTensor._of(d, cutoff, out)
 
 
-@_finite
+@_quiet
 def _gaussian(A: np.ndarray, f: np.ndarray, log_c0: complex,
               cutoff: int) -> FockTensor:
     """exp(log_c0) (exp Omega(A) v exp f) truncated at the cutoff, by the
@@ -430,6 +427,7 @@ def represent_state(x: UltracoherentState, cutoff: int) -> FockTensor:
     return _gaussian(x.Z.Z, x.f, x.log_amp, cutoff)
 
 
+@_quiet
 def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
@@ -444,11 +442,19 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     rng_state = np.random.get_state()
     try:
         out = expm_multiply(op._A, F.vector)
+    except (OverflowError, ValueError) as exc:
+        # its step count, from norms of powers of the generator, came out
+        # inf or NaN and failed to convert to an integer; any other error
+        # is scipy's own and passes through
+        if not str(exc).startswith("cannot convert float"):
+            raise
+        raise GaussFockError("Weyl action overflows float64") from exc
     finally:
         np.random.set_state(rng_state)
     return FockTensor._of(F.dim, F.cutoff, out)
 
 
+@_quiet   # an entry that overflowed is refused in its action
 def _ladder(b: _Basis, raising, lowering):
     """CSR matrix of a+(raising) + a(lowering); None leaves a half out.
 
@@ -492,6 +498,7 @@ def annihilate(f, cutoff: int) -> FockOperator:
     return FockOperator(d, cutoff, _ladder(_basis(d, cutoff), None, f))
 
 
+@_quiet   # an entry that overflowed is refused in its action
 def gamma(B, cutoff: int) -> FockOperator:
     """Second quantization: Gamma(B) E_m = prod_mu (B e_mu)^{v m_mu}.
 
@@ -534,7 +541,7 @@ def alpha_norm(F: FockTensor, alpha: float) -> float:
     return float(np.linalg.norm(scale * dn))
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a NaN or inf is refused later
+@_quiet   # a NaN or inf is refused later
 def _bound_profile(x: UltracoherentState) -> tuple[np.ndarray, np.ndarray]:
     """log g and log(amp C(g)) over the admissible grid of g, where
     C(g) = (1 - g^2)^{-1/2} ||Phi(Z/g^2, f/g)||.

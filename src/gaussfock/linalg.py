@@ -37,6 +37,21 @@ __all__ = [
 ]
 
 
+def _require_finite(kind: str, *arrays) -> None:
+    """Refuse non-finite entries in any of the arrays: the one site of this
+    error. kind is "vector" or "matrix"."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise GaussFockError(f"{kind} entries must be finite")
+
+
+def _finite_value(what: str, value):
+    """value, refused when its modulus overflows float64 or is NaN."""
+    _require(abs(value), np.finfo(float).max, GaussFockError,
+             what + " {residual:.3e} overflows float64")
+    return value
+
+
 def as_vector(f, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-d complex ndarray, optionally enforcing its length."""
     f = np.asarray(f, dtype=complex)
@@ -45,8 +60,7 @@ def as_vector(f, dim: int | None = None) -> np.ndarray:
     if dim is not None and f.shape[0] != dim:
         raise DimensionMismatchError(
             f"expected a vector of length {dim}, got {f.shape[0]}")
-    if not np.isfinite(f).all():
-        raise GaussFockError("vector entries must be finite")
+    _require_finite("vector", f)
     return f
 
 
@@ -63,8 +77,7 @@ def as_matrix(A, dim: int | None = None) -> np.ndarray:
     if dim is not None and A.shape[0] != dim:
         raise DimensionMismatchError(
             f"expected a {dim}x{dim} matrix, got {A.shape[0]}x{A.shape[1]}")
-    if not np.isfinite(A).all():
-        raise GaussFockError("matrix entries must be finite")
+    _require_finite("matrix", A)
     return A
 
 
@@ -74,8 +87,7 @@ def _as_matrix_stack(A) -> np.ndarray:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatchError(
             f"expected a stack of square matrices, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise GaussFockError("matrix entries must be finite")
+    _require_finite("matrix", A)
     return A
 
 

@@ -30,9 +30,11 @@ from .errors import (
     DimensionMismatchError,
     GaussFockError,
     InternalInconsistencyError,
+    _quiet,
     _require,
 )
 from .linalg import (
+    _finite_value,
     as_vector,
     eig_log_det,
     hs_norm,
@@ -63,18 +65,24 @@ __all__ = [
 ]
 
 
+def _pairing(u, v, conjugate: bool = False) -> complex:
+    """<u|v>, or (u|v) when conjugate, of two finite vectors of one length.
+    A value that overflowed is returned, for an exponent to refuse."""
+    u = as_vector(u)
+    v = as_vector(v, u.shape[0])
+    return complex(np.vdot(u, v) if conjugate else u @ v)
+
+
+@_quiet
 def bilinear_pairing(u, v) -> complex:
     """<u|v> = sum u_i v_i, linear in both arguments."""
-    u = as_vector(u)
-    v = as_vector(v, u.shape[0])
-    return complex(u @ v)
+    return _finite_value("bilinear pairing", _pairing(u, v))
 
 
+@_quiet
 def hermitian_inner(u, v) -> complex:
     """(u|v) = sum conj(u_i) v_i, conjugate-linear in the first argument."""
-    u = as_vector(u)
-    v = as_vector(v, u.shape[0])
-    return complex(np.vdot(u, v))
+    return _finite_value("Hermitian inner product", _pairing(u, v, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +129,7 @@ def _exp(what: str, expo) -> complex:
     return complex(np.exp(expo))
 
 
+@_quiet   # an exponent that overflowed is refused by _exp
 def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
     """(x|y), conjugate-linear in x, by the determinant kernel.
 
@@ -149,9 +158,9 @@ def overlap(x: UltracoherentState, y: UltracoherentState) -> complex:
     fs = involution(x.f)
     g = y.f
     expo = (np.conj(x.log_amp) + y.log_amp + log_det
-            + 0.5 * bilinear_pairing(fs, C @ fs)
-            + bilinear_pairing(fs, cross @ g)
-            + 0.5 * bilinear_pairing(g, D @ g))
+            + 0.5 * _pairing(fs, C @ fs)
+            + _pairing(fs, cross @ g)
+            + 0.5 * _pairing(g, D @ g))
     return _exp("overlap", expo)
 
 
@@ -164,6 +173,7 @@ def norm(x: UltracoherentState) -> float:
     return float(np.sqrt(val.real))
 
 
+@_quiet   # an exponent that overflowed is refused by _exp
 def norm_squared_direct(x: UltracoherentState) -> float:
     """||x||^2 from the explicit one-state expression.
 
@@ -180,11 +190,10 @@ def norm_squared_direct(x: UltracoherentState) -> float:
     Gi = np.linalg.inv(eye - A @ Aad)
     fs = involution(f)
     log_det = -0.5 * eig_log_det(eye - Aad @ A)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused by _exp
-        val = (log_det
-               + 0.5 * bilinear_pairing(fs, A @ Mi @ fs)
-               + hermitian_inner(f, Gi @ f)
-               + 0.5 * bilinear_pairing(f, Aad @ Gi @ f))
+    val = (log_det
+           + 0.5 * _pairing(fs, A @ Mi @ fs)
+           + _pairing(f, Gi @ f, True)
+           + 0.5 * _pairing(f, Aad @ Gi @ f))
     # the overflow guard first, so that a NaN exponent reads as an overflow
     norm_sq = _exp("squared norm", 2.0 * x.log_amp.real + val.real).real
     _require(abs(val.imag), 1e-9 * (1.0 + abs(val.real)),
@@ -193,16 +202,16 @@ def norm_squared_direct(x: UltracoherentState) -> float:
     return norm_sq
 
 
+@_quiet   # an exponent that overflowed is refused by _exp
 def bargmann_eval(x: UltracoherentState, z) -> complex:
     """(coherent-kernel evaluation) amp * exp(1/2<z*|Z z*> + <z*|f>)."""
     z = as_vector(z, x.dim)
     zs = involution(z)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused by _exp
-        expo = (x.log_amp + 0.5 * bilinear_pairing(zs, x.Z.Z @ zs)
-                + bilinear_pairing(zs, x.f))
+    expo = (x.log_amp + 0.5 * _pairing(zs, x.Z.Z @ zs) + _pairing(zs, x.f))
     return _exp("Bargmann evaluation", expo)
 
 
+@_quiet   # an f or amplitude that overflowed is refused by make_state
 def weyl_apply(h, x: UltracoherentState) -> UltracoherentState:
     """Displacement W(h) x in closed form: Z fixed, f -> f + h - Z h*."""
     h = as_vector(h, x.dim)
@@ -210,7 +219,7 @@ def weyl_apply(h, x: UltracoherentState) -> UltracoherentState:
     Z = x.Z.Z
     new_f = x.f + h - Z @ hs
     new_log = (x.log_amp - 0.5 * np.vdot(h, h).real
-               + 0.5 * bilinear_pairing(hs, Z @ hs - 2.0 * x.f))
+               + 0.5 * _pairing(hs, Z @ hs - 2.0 * x.f))
     return make_state(x.Z, new_f, new_log)
 
 
@@ -224,11 +233,12 @@ def weyl_phase(f, g) -> complex:
     return complex(np.exp(-1j * angle))
 
 
+@_quiet
 def displacement_to_origin(x: UltracoherentState) -> np.ndarray:
     """The h with h - Z h* = f, so W(-h) removes the displacement of x.
 
     h = (I - AA+)^{-1} f + A (I - A+A)^{-1} f*; the defining equation is
-    re-checked to 1e-10.
+    re-checked to 1e-10, after involution refuses an h that overflowed.
     """
     A = x.Z.Z
     f = x.f
@@ -243,6 +253,7 @@ def displacement_to_origin(x: UltracoherentState) -> np.ndarray:
     return h
 
 
+@_quiet   # an exponent that overflowed is refused by _exp
 def factor_displaced_squeezed(x: UltracoherentState
                               ) -> tuple[np.ndarray, SymplecticElement, complex]:
     """Write x = residual_amp * W(h) T(R) vacuum.
@@ -257,7 +268,7 @@ def factor_displaced_squeezed(x: UltracoherentState
     # T(R) vacuum carries det|U_R|^{-1/2}; the residual undoes it
     log_resid = (x.log_amp + 0.5 * log_det_abs_u(r)
                  + 0.5 * np.vdot(h, h).real
-                 - 0.5 * bilinear_pairing(involution(h), Z @ involution(h)))
+                 - 0.5 * _pairing(involution(h), Z @ involution(h)))
     return h, r, _exp("residual amplitude", log_resid)
 
 
@@ -269,8 +280,10 @@ def scaled(x: UltracoherentState, factor: complex) -> UltracoherentState:
     return make_state(x.Z, x.f, x.log_amp + np.log(factor))
 
 
+@_quiet
 def state_residual(x: UltracoherentState, y: UltracoherentState) -> float:
-    """max deviation over (Z, f, amplitude), the equality gauge for states.
+    """max deviation over (Z, f, amplitude), the equality gauge for states;
+    refused when it overflows.
 
     The amplitude term |e^a - e^b| / max(|e^a|, |e^b|) is evaluated in the
     log domain as |expm1(b - a)| with Re a >= Re b, so it stays exact where
@@ -279,9 +292,10 @@ def state_residual(x: UltracoherentState, y: UltracoherentState) -> float:
     if x.dim != y.dim:
         raise DimensionMismatchError("states have different dimensions")
     b, a = sorted((x.log_amp, y.log_amp), key=lambda z: z.real)
-    return float(max(hs_norm(x.Z.Z - y.Z.Z),
-                     np.linalg.norm(x.f - y.f),
-                     abs(np.expm1(b - a))))
+    # np.max, as max would drop a NaN term after the first
+    return _finite_value("state residual", float(np.max([
+        hs_norm(x.Z.Z - y.Z.Z), np.linalg.norm(x.f - y.f),
+        abs(np.expm1(b - a))])))
 
 
 def random_state(dim: int, rng: np.random.Generator, max_z: float = 0.6,

@@ -15,7 +15,7 @@ unitary; see polar_factorize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +26,12 @@ from .errors import (
     GaussFockError,
     NotRealSymmetricError,
     NotUnitaryError,
+    _quiet,
     _require,
 )
 from .linalg import (
+    _finite_value,
+    _require_finite,
     as_matrix,
     as_vector,
     hs_norm,
@@ -109,6 +112,7 @@ def _constraint_squares(U, V):
         squared_norm(Ut @ mat_conj(V) - mat_adjoint(V) @ U)])
 
 
+@_quiet
 def _constraint_residual(U, V, s=None):
     """Scaled residual of the group constraints, over any leading batch axes.
 
@@ -126,13 +130,12 @@ def _constraint_residual(U, V, s=None):
     the four is returned; a NaN, left by an overflow, propagates.
     """
     nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):   # left as inf or NaN
-        squares = _constraint_squares(U, V)
-        nu2 = np.maximum(1.0 + nv * nv - np.sqrt(squares[0]), 0.0)
-        herm_scale = 1.0 + nu2
-        sym_scale = 1.0 + np.sqrt(nu2) * nv
-        scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
-        return np.max(np.sqrt(squares) / scales, axis=0)
+    squares = _constraint_squares(U, V)
+    nu2 = np.maximum(1.0 + nv * nv - np.sqrt(squares[0]), 0.0)
+    herm_scale = 1.0 + nu2
+    sym_scale = 1.0 + np.sqrt(nu2) * nv
+    scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
+    return np.max(np.sqrt(squares) / scales, axis=0)
 
 
 def _check_pairs(U, V, tol=DEFAULT_TOL):
@@ -167,24 +170,12 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     return element
 
 
-def _finite(build):
-    """Run an element's build with numpy's overflow warnings off. An entry
-    that overflowed float64 or is NaN is then refused by the checks the
-    build ends in: make_symplectic's finite entries and constraints, or
-    from_unitary's unitarity."""
-    @wraps(build)
-    def guarded(*args, **kwargs) -> SymplecticElement:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return build(*args, **kwargs)
-    return guarded
-
-
 def identity(dim: int) -> SymplecticElement:
     """The unit element on C^dim."""
     return make_symplectic(np.eye(dim), np.zeros((dim, dim)))
 
 
-@_finite
+@_quiet
 def from_unitary(K) -> SymplecticElement:
     """Embed a unitary K as the element (K, 0)."""
     K = as_matrix(K)
@@ -194,7 +185,7 @@ def from_unitary(K) -> SymplecticElement:
     return make_symplectic(K, np.zeros(K.shape))
 
 
-@_finite
+@_quiet
 def squeeze(A) -> SymplecticElement:
     """The positive element (cosh A, sinh A) for real symmetric A."""
     A = as_matrix(A)
@@ -209,7 +200,7 @@ def squeeze(A) -> SymplecticElement:
     return make_symplectic(U, V)
 
 
-@_finite
+@_quiet
 def compose(r2: SymplecticElement, r1: SymplecticElement,
             tol: float = DEFAULT_TOL) -> SymplecticElement:
     """Group product r2 o r1 (r1 acts first)."""
@@ -226,17 +217,21 @@ def inverse(r: SymplecticElement) -> SymplecticElement:
     return make_symplectic(mat_adjoint(r.U), -r.V.T)
 
 
+@_quiet
 def apply(r: SymplecticElement, f) -> np.ndarray:
-    """The real-linear action U f + V f*."""
+    """The real-linear action U f + V f*; refused when it overflows."""
     f = as_vector(f, r.dim)
-    return r.U @ f + r.V @ involution(f)
+    out = r.U @ f + r.V @ involution(f)
+    _require_finite("vector", out)
+    return out
 
 
+@_quiet
 def symplectic_form(f, g) -> float:
     """omega(f, g) = Im (f|g), the invariant of the action."""
     f = as_vector(f)
     g = as_vector(g, f.shape[0])
-    return float(np.vdot(f, g).imag)
+    return _finite_value("symplectic form", float(np.vdot(f, g).imag))
 
 
 def _equal_groups(vals: np.ndarray):
@@ -303,7 +298,7 @@ def polar_factorize(r: SymplecticElement
     return K1, A, K2
 
 
-@_finite
+@_quiet
 def conjugated_free_field(r1: SymplecticElement, spectrum, t: float,
                           tol: float = DEFAULT_TOL) -> SymplecticElement:
     """One-parameter subgroup r1 o (e^{-i m t}, 0) o r1^{-1} in closed form.

@@ -4,7 +4,8 @@ errors._require passes if and only if residual <= tol, so a NaN residual
 fails, and the error it raises carries .residual and .tol. The inventory
 lists every direct raise of a check-error class in the package outside
 _require; a new ad hoc check site shows up as a diff of the expected list
-below.
+below. The overflow policy is pinned the same way: one quiet switch, one
+site of the finite-entries error.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 import gaussfock
 from gaussfock import siegel
+from gaussfock import symplectic as sp
 from gaussfock.errors import (
     CircuitSyntaxError,
     ConstraintViolationError,
@@ -164,3 +166,28 @@ def test_group_constraints_are_decided_at_one_site():
                and node.module == "symplectic"
                for alias in node.names if alias.name.startswith("_")]
     assert private == ["_check_pairs"]
+
+
+def test_overflow_policy_has_one_site_each():
+    # the finite-entries error is raised in one place, and numpy's overflow
+    # warnings are silenced by one errstate, built in errors._quiet's wrapper
+    finite = [f"{module}.{owner}" for module, owner, node in package_nodes()
+              if isinstance(node, ast.Raise)
+              and "entries must be finite" in ast.unparse(node)]
+    assert finite == ["linalg._require_finite"]
+    quiet = [f"{module}.{owner}" for module, owner, node in package_nodes()
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("errstate")
+             and {(k.arg, ast.unparse(k.value)) for k in node.keywords}
+             == {("over", "'ignore'"), ("invalid", "'ignore'")}]
+    assert quiet == ["errors.quiet"]
+
+
+def test_nested_quiet_calls_restore_the_error_state():
+    # squeeze is quiet and reaches the quiet constraint residual through
+    # make_symplectic; each call enters its own errstate, so the caller's
+    # settings are back in force afterwards
+    with np.errstate(over="raise", invalid="warn"):
+        before = np.geterr()
+        sp.squeeze([[1.0]])
+        assert np.geterr() == before

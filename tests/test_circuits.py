@@ -467,6 +467,24 @@ class TestCallBudget:
         assert passes[0] == n
         assert len(passes) <= math.ceil(math.log2(n + 1)) + 2
 
+    def test_symp_file_loads_once_per_compile(self, monkeypatch, tmp_path):
+        # The failing compile runs 13 passes; the SYMP file is read by the
+        # first and taken from the compile's memo by the others. An
+        # identity gate leaves every product as it was, so the error is
+        # that of the 5000 gates without it.
+        path = str(tmp_path / "identity.json")
+        dump_json(encode_symplectic(sp.identity(4)), path)
+        gates = long_circuit(5000)
+        gates.insert(10, circuits.Gate("SYMP", (), (), path))
+        loads = []
+        real = circuits.load_json
+        monkeypatch.setattr(circuits, "load_json",
+                            lambda p: loads.append(p) or real(p))
+        assert raised(circuits.compile_circuit, gates, 4) == (
+            InternalInconsistencyError,
+            "multiplier modulus deviates from 1 by 2.296e-10")
+        assert loads == [path]
+
 
 class TestRun:
     def test_squeeze_gives_disc_point(self):

@@ -9,7 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from gaussfock import fock, serialization as ser, siegel, states
+from gaussfock import fock, representation as rep, serialization as ser
+from gaussfock import siegel, states
 from gaussfock import symplectic as sp
 from gaussfock.errors import (
     ConstraintViolationError,
@@ -168,3 +169,106 @@ def test_overflow_message_prints_the_exponent_in_e_format():
     with pytest.raises(GaussFockError) as err:
         states.overlap(x, x)
     assert str(err.value) == "overlap exp(2.000e+300) overflows float64"
+
+
+# Oracle vectors built outside the Gaussian builders: each came back with a
+# non-finite coefficient, or leaked numpy's RuntimeWarning while it was
+# built. FockTensor now refuses its own entries, whoever builds it.
+NONFINITE_TENSORS = {
+    "FockTensor inf": (lambda: fock.FockTensor(1, 2, [inf, 0, 0]), "inf"),
+    "make_tensor nan": (lambda: fock.make_tensor(1, 2, [nan, 0, 0]), "nan"),
+    # json.loads accepts the Infinity literal
+    "decode_tensor Infinity": (lambda: ser.decode_tensor(json.loads(
+        '{"dim":1,"cutoff":2,"entries":[[[0],[Infinity,0]]]}')), "inf"),
+    "apply_operator create": (lambda: fock.apply_operator(
+        fock.create([1e300], 3), fock.exp_vector([1e100], 3)), "inf"),
+    "symmetric_product": (lambda: fock.symmetric_product(
+        fock.make_tensor(1, 2, [0, 1e200, 0]),
+        fock.make_tensor(1, 2, [0, 1e200, 0])), "inf"),
+    # the builds of gamma and annihilate leaked; their actions meet the guard
+    "gamma action": (lambda: fock.apply_operator(
+        fock.gamma([[1e300]], 3), fock.exp_vector([1.0], 3)), "nan"),
+    "annihilate action": (lambda: fock.apply_operator(
+        fock.annihilate([1e308], 3), fock.exp_vector([1.0], 3)), "nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_TENSORS))
+def test_nonfinite_tensor_is_refused(name):
+    build, residual = NONFINITE_TENSORS[name]
+    with pytest.raises(GaussFockError) as err:
+        build()
+    assert str(err.value) == f"Fock coefficient {residual} overflows float64"
+
+
+@pytest.mark.parametrize("h", [1e150, 1e200, 1e308])
+def test_weyl_action_refuses_overflow(h):
+    # expm_multiply's step count came out inf (NaN at 1e308) and raised the
+    # builtin OverflowError (ValueError) converting it to an integer
+    op = fock.weyl([h], 3)
+    state = np.random.get_state()
+    with pytest.raises(GaussFockError,
+                       match="^Weyl action overflows float64$"):
+        fock.apply_operator(op, fock.vacuum_tensor(1, 3))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(state, np.random.get_state()))
+
+
+def test_weyl_action_passes_other_scipy_errors_through(monkeypatch):
+    # only the failed integer conversion of an overflowed step count is
+    # an overflow; any other ValueError of expm_multiply is its own
+    from scipy.sparse import linalg as spla
+
+    def fails(A, v):
+        raise ValueError("shapes do not match")
+    monkeypatch.setattr(spla, "expm_multiply", fails)
+    with pytest.raises(ValueError, match="^shapes do not match$") as err:
+        fock.apply_operator(fock.weyl([1.0], 3), fock.vacuum_tensor(1, 3))
+    assert not isinstance(err.value, GaussFockError)
+
+
+# Finite arguments whose result overflows float64: each returned inf or
+# leaked numpy's RuntimeWarning.
+OVERFLOWING_RESULTS = {
+    "symplectic_form": (lambda: sp.symplectic_form([1e200], [1e200j]),
+                        "^symplectic form inf overflows float64$"),
+    "apply": (lambda: sp.apply(sp.squeeze([[1.0]]), [1e308]),
+              "^vector entries must be finite$"),
+    "hermitian_inner": (lambda: states.hermitian_inner([1e200], [1e200]),
+                        "^Hermitian inner product inf overflows float64$"),
+    "bilinear_pairing": (lambda: states.bilinear_pairing([1e200], [1e200]),
+                         "^bilinear pairing inf overflows float64$"),
+    "act_on_exponential": (lambda: rep.act_on_exponential(
+        sp.squeeze([[1.0]]), [1e200]),
+        "^bilinear pairing inf overflows float64$"),
+    "state_residual": (lambda: states.state_residual(
+        states.make_state([[0]], [1e308]), states.make_state([[0]], [-1e308])),
+        "^state residual inf overflows float64$"),
+    # the phases' difference overflows: its NaN amplitude term was dropped
+    # by max, and 0.0 came back
+    "state_residual phase": (lambda: states.state_residual(
+        states.make_state([[0]], [0], 1e308j),
+        states.make_state([[0]], [0], -1e308j)),
+        "^state residual nan overflows float64$"),
+    "displacement_to_origin": (lambda: states.displacement_to_origin(
+        states.make_state([[0.5]], [1e308])),
+        "^vector entries must be finite$"),
+    # the pairings in an exponent overflow; each function's own refusal
+    # of that exponent names it
+    "overlap": (lambda: states.overlap(
+        states.make_state([[0]], [1e200]), states.make_state([[0]], [1e200])),
+        r"^overlap exp\(inf\) overflows float64$"),
+    "weyl_apply": (lambda: states.weyl_apply(
+        [1e200], states.make_state([[0.5]], [0])),
+        "^log amplitude must be finite$"),
+    "factor_displaced_squeezed": (lambda: states.factor_displaced_squeezed(
+        states.make_state([[0.5]], [1e200])),
+        r"^residual amplitude exp\(nan\) overflows float64$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RESULTS))
+def test_overflowing_result_is_refused(name):
+    call, message = OVERFLOWING_RESULTS[name]
+    with pytest.raises(GaussFockError, match=message):
+        call()

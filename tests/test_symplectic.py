@@ -239,7 +239,7 @@ def running_products(n_gates):
     gates = []
     while len(gates) < n_gates:
         gates += verify._random_gates(d, gen)
-    Ug, Vg, _ = circuits._gate_arrays(gates[:n_gates], d, ".")
+    Ug, Vg, _ = circuits._gate_arrays(gates[:n_gates], d, ".", {})
     U, V = np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex)
     PU, PV = [], []
     for ug, vg in zip(Ug, Vg):
