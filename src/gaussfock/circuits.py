@@ -273,15 +273,7 @@ def _gate_arrays(gates: list[Gate], dim: int, base_dir: str, loaded: dict
     return Ug, Vg, h
 
 
-def _gate_element(gate: Gate, dim: int, base_dir: str) -> SymplecticElement:
-    Ug, Vg, _ = _gate_arrays([gate], dim, base_dir, {})
-    return make_symplectic(Ug[0], Vg[0])
-
-
-def _displacement_vector(gate: Gate, dim: int) -> np.ndarray:
-    return _gate_arrays([gate], dim, ".", {})[2][0]
-
-
+@_quiet   # an entry that overflowed is refused by the checks
 def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
                   loaded: dict) -> CompiledCircuit:
     """The fold over (n, d, d) stacks, its checks in the order of one gate's
@@ -292,33 +284,32 @@ def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
     # P[k] = (U, V) of the product of the first k gates.
     P = np.empty((n + 1, 2, dim, dim), dtype=complex)
     P[0, 0], P[0, 1] = np.eye(dim), 0.0
-    with np.errstate(all="ignore"):
-        for k, (ug, vg) in enumerate(zip(Ug, Vg)):
-            p = P[k]
-            np.add(ug @ p, vg @ np.conj(p[::-1]), out=P[k + 1])
-        PU, PV = P[:, 0], P[:, 1]
-        _require_finite("matrix", Ug, Vg)
-        _, log_det_g = _check_pairs(Ug, Vg)
-        _require_finite("matrix", P)
-        # P[0], the identity, passes with residual 0.
-        _, log_det_p = _check_pairs(PU, PV)
-        chi = _multiplier(Ug, PU[:-1], PU[1:], log_det_g,
-                          log_det_p[:-1], log_det_p[1:])
-        log_chi = iter(np.log(chi))
-        shifts = iter(hd)
-        h = h_last = np.zeros(dim, dtype=complex)
-        log_phase = 0.0 + 0.0j
-        k = 0
-        for gate in gates:
-            h_last = h
-            if gate.kind == "D":
-                hg = next(shifts)
-                log_phase += -1j * np.vdot(hg, h).imag
-                h = hg + h
-            else:
-                log_phase += next(log_chi)
-                h = Ug[k] @ h + Vg[k] @ np.conj(h)
-                k += 1
+    for k, (ug, vg) in enumerate(zip(Ug, Vg)):
+        p = P[k]
+        np.add(ug @ p, vg @ np.conj(p[::-1]), out=P[k + 1])
+    PU, PV = P[:, 0], P[:, 1]
+    _require_finite("matrix", Ug, Vg)
+    _, log_det_g = _check_pairs(Ug, Vg)
+    _require_finite("matrix", P)
+    # P[0], the identity, passes with residual 0.
+    _, log_det_p = _check_pairs(PU, PV)
+    chi = _multiplier(Ug, PU[:-1], PU[1:], log_det_g,
+                      log_det_p[:-1], log_det_p[1:])
+    log_chi = iter(np.log(chi))
+    shifts = iter(hd)
+    h = h_last = np.zeros(dim, dtype=complex)
+    log_phase = 0.0 + 0.0j
+    k = 0
+    for gate in gates:
+        h_last = h
+        if gate.kind == "D":
+            hg = next(shifts)
+            log_phase += -1j * np.vdot(hg, h).imag
+            h = hg + h
+        else:
+            log_phase += next(log_chi)
+            h = Ug[k] @ h + Vg[k] @ np.conj(h)
+            k += 1
     # h_last, the input to the last gate, stands for every gate's input.
     _require_finite("vector", hd, h_last)
     element = make_symplectic(PU[n], PV[n])
@@ -365,11 +356,14 @@ def run(gates: list[Gate], dim: int, base_dir: str = ".") -> UltracoherentState:
 
 def run_sequential(gates: list[Gate], dim: int,
                    base_dir: str = ".") -> UltracoherentState:
-    """Gate-by-gate application; must match run() including the phase."""
+    """Gate-by-gate application; must match run() including the phase.
+    Gates come from the compile's builder; each SYMP file loads once."""
     state = vacuum(dim)
+    loaded = {}
     for gate in gates:
+        Ug, Vg, h = _gate_arrays([gate], dim, base_dir, loaded)
         if gate.kind == "D":
-            state = weyl_apply(_displacement_vector(gate, dim), state)
+            state = weyl_apply(h[0], state)
         else:
-            state = act(_gate_element(gate, dim, base_dir), state)
+            state = act(make_symplectic(Ug[0], Vg[0]), state)
     return state

@@ -50,17 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle cutoff (default: chosen so the tail bound "
                         "is at most 1e-8)")
     _common_flags(p, tol=False)
+    p.set_defaults(handler=_cmd_overlap)
 
     p = sub.add_parser("apply", help="apply a symplectic element to a state")
     p.add_argument("--symplectic", required=True, metavar="R.json")
     p.add_argument("--state", required=True, metavar="X.json")
     _common_flags(p)
+    p.set_defaults(handler=_cmd_apply)
 
     p = sub.add_parser("compose",
                        help="group product a*b (b acts first) and multiplier")
     p.add_argument("--a", required=True, metavar="R1.json")
     p.add_argument("--b", required=True, metavar="R2.json")
     _common_flags(p)
+    p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("run", help="run a circuit file on the vacuum")
     p.add_argument("--circuit", required=True, metavar="C.txt")
@@ -69,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the compiled displacement/element/phase "
                         "instead of the output state")
     _common_flags(p, tol=False)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("--suite", action="append", default=None,
@@ -78,11 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42,
                    help="random seed (default 42)")
     _common_flags(p)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("takagi",
                        help="factor a complex symmetric matrix as F diag(a) F^T")
     p.add_argument("--matrix", required=True, metavar="A.json")
     _common_flags(p)
+    p.set_defaults(handler=_cmd_takagi)
 
     p = sub.add_parser("demo", help="worked demonstrations")
     dsub = p.add_subparsers(dest="demo_command", required=True)
@@ -93,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spectrum", required=True, metavar="M.json")
     q.add_argument("--t", required=True, type=float)
     _common_flags(q)
+    q.set_defaults(handler=_cmd_demo_free_field)
 
     return parser
 
@@ -237,22 +244,10 @@ def _cmd_demo_free_field(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "overlap": _cmd_overlap,
-    "apply": _cmd_apply,
-    "compose": _cmd_compose,
-    "run": _cmd_run,
-    "verify": _cmd_verify,
-    "takagi": _cmd_takagi,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "demo":
-            return _cmd_demo_free_field(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except GaussFockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,11 +20,13 @@ The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
 basis from per-degree step tables of the basis: each degree is one gather of
 [f | A] by mu, one gather of the coefficients at the parent and its lower
-neighbours, and one einsum. Every FockTensor refuses an entry that
-overflows float64 or is NaN with a GaussFockError. Gamma(B) builds each
-column from the column of its parent m - e_mu the same way. General products
-are exact convolutions, a shift-add over the nonzeros of the sparser factor:
-FFT noise of ~1e-16 in high-degree entries, under m! weights up to ~1e150,
+neighbours, and one einsum. Builds that may overflow run under
+errors._quiet, the package's one switch of numpy's error state, and every
+FockTensor and every .matrix read refuses an entry that overflows float64
+or is NaN with a GaussFockError. Gamma(B) builds each column from the
+column of its parent m - e_mu the same way. General products are exact
+convolutions, a shift-add over the nonzeros of the sparser factor: FFT
+noise of ~1e-16 in high-degree entries, under m! weights up to ~1e150,
 would swamp the inner products.
 """
 
@@ -46,7 +48,9 @@ from .errors import (
     _require,
 )
 from .linalg import (
+    _exp,
     _finite_value,
+    _require_finite,
     as_matrix,
     as_vector,
     hs_norm,
@@ -113,22 +117,19 @@ class FockTensor:
     def _init(self, dim: int, cutoff: int, vector: np.ndarray) -> None:
         _finite_value("Fock coefficient", np.abs(vector.view(float)).max())
         vector.flags.writeable = False
-        self.dim, self.cutoff, self.vector, self._coeffs = (
-            dim, cutoff, vector, None)
+        self.dim, self.cutoff, self.vector = dim, cutoff, vector
 
-    @property
+    @cached_property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            shape = (self.cutoff + 1,) * self.dim
-            if math.prod(shape) > MAX_GRID_ENTRIES:
-                raise GaussFockError(
-                    f"grid of shape ({self.cutoff + 1},)^{self.dim} exceeds "
-                    "the size guard")
-            c = np.zeros(shape, dtype=complex)
-            c.flat[_basis(self.dim, self.cutoff).key] = self.vector
-            c.flags.writeable = False
-            self._coeffs = c
-        return self._coeffs
+        shape = (self.cutoff + 1,) * self.dim
+        if math.prod(shape) > MAX_GRID_ENTRIES:
+            raise GaussFockError(
+                f"grid of shape ({self.cutoff + 1},)^{self.dim} exceeds "
+                "the size guard")
+        c = np.zeros(shape, dtype=complex)
+        c.flat[_basis(self.dim, self.cutoff).key] = self.vector
+        c.flags.writeable = False
+        return c
 
 
 class FockOperator:
@@ -137,7 +138,7 @@ class FockOperator:
     It holds one dense or sparse (B, B) matrix A, B the basis size, and acts
     as A, or as exp(A) when weyl sets that flag. .matrix is a dense A itself;
     otherwise A.toarray(), or scipy.linalg.expm of it, computed on first read
-    and kept.
+    and kept. It refuses an entry that overflowed float64 or is NaN.
     """
 
     def __init__(self, dim: int, cutoff: int, matrix):
@@ -153,14 +154,15 @@ class FockOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        if isinstance(self._A, np.ndarray):
-            return self._A
-        _check_dense(self._A.shape[0])
-        dense = self._A.toarray()
+        dense = self._A
+        if not isinstance(dense, np.ndarray):
+            _check_dense(dense.shape[0])
+            dense = dense.toarray()
         if self._exp:
             # imported here, like scipy.sparse in _ladder: see the note there
             import scipy.linalg
             dense = scipy.linalg.expm(dense)
+        _require_finite("matrix", dense)
         return dense
 
 
@@ -579,8 +581,7 @@ def _log_tail_bounds(x: UltracoherentState, cutoffs: np.ndarray
     refused when the least of them is NaN or overflows float64."""
     log_g, log_c = _bound_profile(x)
     log_bounds = np.min((cutoffs[:, None] + 1) * log_g + log_c, axis=1)
-    _require(np.min(log_bounds), np.log(np.finfo(float).max), GaussFockError,
-             "tail bound exp({residual:.3e}) overflows float64")
+    _exp("tail bound", np.min(log_bounds))
     return log_bounds
 
 

@@ -21,6 +21,7 @@ from .errors import (
     GaussFockError,
     NotSymmetricError,
     SingularMatrixError,
+    _quiet,
     _require,
 )
 
@@ -50,6 +51,14 @@ def _finite_value(what: str, value):
     _require(abs(value), np.finfo(float).max, GaussFockError,
              what + " {residual:.3e} overflows float64")
     return value
+
+
+def _exp(what: str, expo) -> complex:
+    """exp(expo), refusing an exponent whose real part overflows float64 or
+    is NaN (infinities that cancelled)."""
+    _require(expo.real, np.log(np.finfo(float).max), GaussFockError,
+             what + " exp({residual:.3e}) overflows float64")
+    return complex(np.exp(expo))
 
 
 def as_vector(f, dim: int | None = None) -> np.ndarray:
@@ -125,6 +134,7 @@ def hs_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 
 
+@_quiet   # a Frobenius norm that overflowed fails over to ||M||
 def eig_log_det(M):
     """Sum of principal logarithms of the eigenvalues of M.
 
@@ -146,8 +156,7 @@ def eig_log_det(M):
     w = np.linalg.eigvals(M)
     if w.shape[-1]:
         small = np.abs(w).min(axis=-1)
-        with np.errstate(over="ignore"):   # inf fails over to ||M||
-            frobenius = np.linalg.norm(M, axis=(-2, -1))
+        frobenius = np.linalg.norm(M, axis=(-2, -1))
         if not (small >= 2e-12 * np.maximum(frobenius, 1e-300)).all():
             below = small < 1e-12 * np.maximum(operator_norm(M), 1e-300)
             if below.any():

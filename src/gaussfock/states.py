@@ -34,6 +34,7 @@ from .errors import (
     _require,
 )
 from .linalg import (
+    _exp,
     _finite_value,
     as_vector,
     eig_log_det,
@@ -119,14 +120,6 @@ def coherent(f) -> UltracoherentState:
     f = as_vector(f)
     d = f.shape[0]
     return make_state(np.zeros((d, d)), f, -0.5 * np.vdot(f, f).real)
-
-
-def _exp(what: str, expo) -> complex:
-    """exp(expo), refusing an exponent whose real part overflows float64 or
-    is NaN (infinities that cancelled)."""
-    _require(expo.real, np.log(np.finfo(float).max), GaussFockError,
-             what + " exp({residual:.3e}) overflows float64")
-    return complex(np.exp(expo))
 
 
 @_quiet   # an exponent that overflowed is refused by _exp

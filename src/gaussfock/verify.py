@@ -319,13 +319,9 @@ def suite_dsl(rng: np.random.Generator, trials: int) -> _Residuals:
 
 
 def _line_tensor(f: np.ndarray, cutoff: int) -> fock.FockTensor:
-    d = len(f)
-    c = np.zeros((cutoff + 1,) * d, dtype=complex)
-    for mu in range(d):
-        e = [0] * d
-        e[mu] = 1
-        c[tuple(e)] = f[mu]
-    return fock.FockTensor(d, cutoff, c)
+    """f as a degree-1 tensor, a+(f) applied to the vacuum."""
+    return fock.apply_operator(fock.create(f, cutoff),
+                               fock.vacuum_tensor(len(f), cutoff))
 
 
 def _random_tensor(d: int, cutoff: int, rng: np.random.Generator, low: int,

@@ -5,7 +5,7 @@ fails, and the error it raises carries .residual and .tol. The inventory
 lists every direct raise of a check-error class in the package outside
 _require; a new ad hoc check site shows up as a diff of the expected list
 below. The overflow policy is pinned the same way: one quiet switch, one
-site of the finite-entries error.
+site of the finite-entries error, one site of the exponent refusal.
 """
 
 import ast
@@ -169,18 +169,23 @@ def test_group_constraints_are_decided_at_one_site():
 
 
 def test_overflow_policy_has_one_site_each():
-    # the finite-entries error is raised in one place, and numpy's overflow
-    # warnings are silenced by one errstate, built in errors._quiet's wrapper
+    # the finite-entries error is raised in one place, numpy's error state
+    # is changed by one errstate, built in errors._quiet's wrapper, and one
+    # routine refuses an exponent that overflows
     finite = [f"{module}.{owner}" for module, owner, node in package_nodes()
               if isinstance(node, ast.Raise)
               and "entries must be finite" in ast.unparse(node)]
     assert finite == ["linalg._require_finite"]
-    quiet = [f"{module}.{owner}" for module, owner, node in package_nodes()
-             if isinstance(node, ast.Call)
-             and ast.unparse(node.func).endswith("errstate")
-             and {(k.arg, ast.unparse(k.value)) for k in node.keywords}
-             == {("over", "'ignore'"), ("invalid", "'ignore'")}]
-    assert quiet == ["errors.quiet"]
+    errstate = [f"{module}.{owner}" for module, owner, node in package_nodes()
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith("errstate")]
+    assert errstate == ["errors.quiet"]
+    # every "exp(...) overflows float64" message is built by linalg._exp
+    exp = [f"{module}.{owner}" for module, owner, node in package_nodes()
+           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+           and "exp({residual" in node.value
+           and "overflows float64" in node.value]
+    assert exp == ["linalg._exp"]
 
 
 def test_nested_quiet_calls_restore_the_error_state():

@@ -208,12 +208,13 @@ def reference_fold(gates, dim):
     element = sp.identity(dim)
     log_phase = 0.0 + 0.0j
     for gate in gates:
+        Ug, Vg, hd = circuits._gate_arrays([gate], dim, ".", {})
         if gate.kind == "D":
-            hg = circuits._displacement_vector(gate, dim)
+            hg = hd[0]
             log_phase += -1j * sp.symplectic_form(hg, h)
             h = hg + h
         else:
-            rg = circuits._gate_element(gate, dim, ".")
+            rg = sp.make_symplectic(Ug[0], Vg[0])
             log_phase += np.log(rep.multiplier(rg, element))
             h = sp.apply(rg, h)
             element = sp.compose(rg, element)
@@ -484,6 +485,24 @@ class TestCallBudget:
             InternalInconsistencyError,
             "multiplier modulus deviates from 1 by 2.296e-10")
         assert loads == [path]
+
+    def test_symp_file_loads_once_per_sequential_run(self, monkeypatch,
+                                                     tmp_path):
+        # three gates name the file; the run reads it once and agrees with
+        # the normal form
+        path = str(tmp_path / "r.json")
+        dump_json(encode_symplectic(
+            sp.random_element(2, np.random.default_rng(82))), path)
+        gates = random_gates(np.random.default_rng(83), 2, 9, 10)
+        for k in (0, 4, 8):
+            gates.insert(k, circuits.Gate("SYMP", (), (), path))
+        loads = []
+        real = circuits.load_json
+        monkeypatch.setattr(circuits, "load_json",
+                            lambda p: loads.append(p) or real(p))
+        seq = circuits.run_sequential(gates, 2)
+        assert loads == [path]
+        assert states.state_residual(circuits.run(gates, 2), seq) < 1e-10
 
 
 class TestRun:

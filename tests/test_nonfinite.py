@@ -264,6 +264,12 @@ OVERFLOWING_RESULTS = {
     "factor_displaced_squeezed": (lambda: states.factor_displaced_squeezed(
         states.make_state([[0.5]], [1e200])),
         r"^residual amplitude exp\(nan\) overflows float64$"),
+    # the oracle's dense matrices: the powers of 1e300 in gamma's held inf
+    # and NaN, and expm of the Weyl generator came back all NaN
+    "gamma matrix": (lambda: fock.gamma([[1e300]], 3).matrix,
+                     "^matrix entries must be finite$"),
+    "weyl matrix": (lambda: fock.weyl([1e308], 3).matrix,
+                    "^matrix entries must be finite$"),
 }
 
 
