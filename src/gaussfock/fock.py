@@ -11,8 +11,9 @@ and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 and .coeffs builds it on first read. A FockOperator acts on the same
 vectors through one matrix A, as A or as exp(A). One routine assembles
 a+(f), a(f) and the generator a+(h) - a(h*) of the displacement W(h) of weyl
-as CSR matrices from the basis tables; W(h) is applied to vectors with
-expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). Only
+as CSR matrices from the basis tables; W(h) is applied to vectors by the
+Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+whose Bessel coefficients come from Miller's backward recurrence. Only
 gamma, and a read of .matrix, make a dense matrix.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
@@ -86,6 +87,11 @@ __all__ = [
 
 MAX_GRID_ENTRIES = 20_000_000
 MAX_CUTOFF = 170          # 171! overflows float64 basis weights
+# cap on rho = 2 ||h|| sqrt(cutoff), the norm bound of the Weyl generator: it
+# holds the propagator to at most 5600 terms, one sparse matvec each, and
+# admits every h whose truncation is meaningful (||h||^2 well below the
+# cutoff, at most 170) with a wide margin
+MAX_WEYL_RHO = 4096.0
 
 
 class FockTensor:
@@ -136,9 +142,10 @@ class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
     It holds one dense or sparse (B, B) matrix A, B the basis size, and acts
-    as A, or as exp(A) when weyl sets that flag. .matrix is a dense A itself;
-    otherwise A.toarray(), or scipy.linalg.expm of it, computed on first read
-    and kept. It refuses an entry that overflowed float64 or is NaN.
+    as A, or as exp(A) when weyl sets _h, the h of W(h). .matrix is a dense A
+    itself; otherwise A.toarray(), or scipy.linalg.expm of it, computed on
+    first read and kept. It refuses an entry that overflowed float64 or is
+    NaN.
     """
 
     def __init__(self, dim: int, cutoff: int, matrix):
@@ -150,7 +157,7 @@ class FockOperator:
         self.dim = dim
         self.cutoff = cutoff
         self._A = matrix
-        self._exp = False
+        self._h = None
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -158,7 +165,7 @@ class FockOperator:
         if not isinstance(dense, np.ndarray):
             _check_dense(dense.shape[0])
             dense = dense.toarray()
-        if self._exp:
+        if self._h is not None:
             # imported here, like scipy.sparse in _ladder: see the note there
             import scipy.linalg
             dense = scipy.linalg.expm(dense)
@@ -434,26 +441,91 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
             "operator and tensor must share dimension and cutoff")
-    if not op._exp:
+    if op._h is None:
         return FockTensor._of(F.dim, F.cutoff, op._A @ F.vector)
-    # imported here, like scipy.sparse in _ladder: see the note there
-    from scipy.sparse.linalg import expm_multiply
-    # once the generator's 1-norm exceeds about 63, expm_multiply estimates
-    # norms with onenormest, which draws from numpy's global RNG; the
-    # caller's random stream is put back as it was
-    rng_state = np.random.get_state()
-    try:
-        out = expm_multiply(op._A, F.vector)
-    except (OverflowError, ValueError) as exc:
-        # its step count, from norms of powers of the generator, came out
-        # inf or NaN and failed to convert to an integer; any other error
-        # is scipy's own and passes through
-        if not str(exc).startswith("cannot convert float"):
-            raise
-        raise GaussFockError("Weyl action overflows float64") from exc
-    finally:
-        np.random.set_state(rng_state)
-    return FockTensor._of(F.dim, F.cutoff, out)
+    # rho bounds ||G|| in the orthonormal frame of _propagate: there a+(h)
+    # maps degree n to n + 1 with norm ||h|| sqrt(n + 1) <= ||h|| sqrt(cutoff),
+    # and a(h*) is its adjoint. At cutoff 0, G = 0
+    rho = (2.0 * math.sqrt(F.cutoff) * math.hypot(*np.abs(op._h))
+           if F.cutoff else 0.0)
+    _require(rho, MAX_WEYL_RHO, GaussFockError,
+             "Weyl action needs 2 |h| sqrt(cutoff) at most {tol:g}, "
+             "got {residual:.6g}")
+    return FockTensor._of(F.dim, F.cutoff, _propagate(op._A, rho, F.vector))
+
+
+def _propagate(G, rho: float, v: np.ndarray) -> np.ndarray:
+    """exp(G) v by the Chebyshev propagator of Tal-Ezer & Kosloff (J. Chem.
+    Phys. 81, 3967 (1984)), for a G that is skew-Hermitian with norm at most
+    rho in the orthonormal frame.
+
+    With S = diag(sqrt(m!)) the vectors E_m / sqrt(m!) are orthonormal, so
+    H = -i S G S^-1 is Hermitian with ||H|| <= rho, exp(G) = S^-1 exp(iH) S,
+    and exp(i rho x) = J_0(rho) + 2 sum_k i^k J_k(rho) T_k(x) on [-1, 1]. S
+    commutes through each polynomial, S^-1 T_k(H / rho) S = T_k(-iG / rho),
+    so the series runs on G itself: u_k = i^k T_k(-iG / rho) v obeys
+    u_{k+1} = (2 / rho) G u_k + u_{k-1}, and
+    exp(G) v = J_0 u_0 + 2 sum_{k <= K} J_k u_k, one sparse matvec per term.
+    The terms dropped beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53
+    times ||v|| in the Fock norm (see _terms).
+    """
+    J = _bessel(rho)
+    out = J[0] * v
+    if J.size == 1:
+        return out
+    step = G * (2.0 / rho)
+    prev, cur = v, 0.5 * (step @ v)
+    for c in 2.0 * J[1:-1]:
+        out += c * cur
+        nxt = step @ cur
+        nxt += prev
+        prev, cur = cur, nxt
+    out += 2.0 * J[-1] * cur
+    return out
+
+
+def _terms(rho: float, tol: float | np.ndarray):
+    """Least K with 2 sum_{j>K} (rho/2)^j / j! <= tol, for rho > 0; one K
+    per entry of an array tol.
+
+    The sum bounds 2 sum_{j>K} |J_j(rho)|, since |J_j(x)| <= (x/2)^j / j!
+    for x >= 0. It is summed in the log domain up to j = e^2 rho/2 + 121:
+    from j >= e^2 rho/2 on, j! >= (j/e)^j makes each term at most e^-j, so
+    the rest is below e^-121, under the last bit of any tol used here.
+    """
+    x = rho / 2.0
+    j = np.arange(1.0, math.ceil(math.e ** 2 * x) + 122)
+    log_terms = j * math.log(x) - np.cumsum(np.log(j))
+    # -log sum_{j>K} (rho/2)^j / j! for K = 0, 1, ..., nondecreasing
+    neg_log_tails = -np.logaddexp.accumulate(log_terms[::-1])[::-1]
+    return np.searchsorted(neg_log_tails, -np.log(np.divide(tol, 2.0)))
+
+
+def _bessel(rho: float) -> np.ndarray:
+    """J_0(rho), ..., J_K(rho) with K = _terms(rho, 2^-53); [1.0] for rho
+    below 2^-54, where K = 0 and J_0(rho) = 1 - rho^2/4 rounds to 1.
+
+    Miller's backward recurrence J_{k-1} = (2k / rho) J_k - J_{k+1}, started
+    from J_{M+1} = 0 and J_M = 1 at M = _terms(rho, 2^-106), runs toward the
+    dominant solution, so its values are the J_k up to one factor with an
+    absolute error of about |J_{M+1}(rho)| <= 2^-107; the factor is fixed by
+    J_0 + 2 sum_k J_{2k} = 1. Whenever a value passes 1e250, all of them are
+    scaled by 1e-250, so none overflows; the high orders that then underflow
+    lie far below 2^-53.
+    """
+    if rho < 2.0 ** -54:
+        return np.ones(1)
+    K, M = _terms(rho, np.array([2.0 ** -53, 2.0 ** -106]))
+    f = [1.0]                      # f[i] is proportional to J_{M - i}
+    high, low = 0.0, 1.0
+    for k in range(M, 0, -1):
+        high, low = low, 2.0 * k / rho * low - high
+        f.append(low)
+        if abs(low) > 1e250:
+            f = [c * 1e-250 for c in f]
+            high, low = high * 1e-250, low * 1e-250
+    f = np.array(f[::-1])
+    return f[:K + 1] / (f[0] + 2.0 * f[2::2].sum())
 
 
 @_quiet   # an entry that overflowed is refused in its action
@@ -524,13 +596,15 @@ def gamma(B, cutoff: int) -> FockOperator:
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    apply_operator computes W(h) v from the sparse G with expm_multiply;
-    .matrix, built on first read, is scipy.linalg.expm of the dense G.
+    apply_operator computes W(h) v from the sparse G with the Chebyshev
+    propagator of _propagate, and refuses rho = 2 ||h|| sqrt(cutoff), the
+    bound on ||G|| in the orthonormal frame, above MAX_WEYL_RHO; .matrix,
+    built on first read, is scipy.linalg.expm of the dense G.
     """
     h = as_vector(h)
     d = h.shape[0]
     op = FockOperator(d, cutoff, _ladder(_basis(d, cutoff), h, -involution(h)))
-    op._exp = True
+    op._h = h
     return op
 
 

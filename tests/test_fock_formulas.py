@@ -4,6 +4,7 @@ operators, the two routes of the Weyl operator (its action from the sparse
 generator and its dense matrix), and the flat tensor layout with its grid
 exchange format."""
 
+import math
 import os
 import subprocess
 import sys
@@ -156,7 +157,8 @@ def test_weyl_generator_and_matrix_match_dense_route(d, N):
         assert w.matrix.tobytes() == scipy.linalg.expm(dense).tobytes()
 
 
-@pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11)])
+@pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11), (1, 50), (1, 60),
+                                  (2, 22), (2, 24), (3, 9), (3, 10)])
 def test_weyl_action_matches_its_matrix(d, N):
     rng = np.random.default_rng(29 + d)
     h = _weyl_h(d, rng)
@@ -278,12 +280,18 @@ import gaussfock, gaussfock.cli
 from gaussfock import circuits, fock
 circuits.run(circuits.parse("S(0, 0.5, 0.0)\\nD(1, 0.3, 0.1)"), 2)
 print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
-fock.apply_operator(fock.weyl([0.3], 8), fock.vacuum_tensor(1, 8))
-print("scipy.sparse.linalg" in sys.modules)
+w = fock.weyl([0.3], 8)
+fock.apply_operator(w, fock.vacuum_tensor(1, 8))
+fock.create([0.3], 8).matrix
+print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+w.matrix
+print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
 """
 
 
 def test_sparse_scipy_loads_only_on_the_weyl_path():
+    # the Weyl action is a Chebyshev series of sparse matvecs; only the
+    # dense exponential of a weyl .matrix read needs scipy.linalg
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussfock.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -291,7 +299,8 @@ def test_sparse_scipy_loads_only_on_the_weyl_path():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False", "True"]
+    assert res.stdout.split() == ["False", "False", "False", "False",
+                                  "False", "True"]
 
 
 @pytest.mark.parametrize("d, N, h", [
@@ -299,13 +308,79 @@ def test_sparse_scipy_loads_only_on_the_weyl_path():
     (2, 94, 0.707 * np.exp(0.3j) * np.ones(2)),
 ])
 def test_weyl_action_leaves_the_global_rng_alone(d, N, h):
-    # the generator's 1-norm is above 63 here, where expm_multiply starts to
-    # estimate norms with onenormest, which draws from np.random
+    # the largest generators the oracle builds: the propagator takes no
+    # norm estimate, so nothing draws from np.random however large it is
     before = np.random.get_state()
     fock.apply_operator(fock.weyl(h, N), fock.vacuum_tensor(d, N))
     after = np.random.get_state()
     assert np.array_equal(before[1], after[1])
     assert before[2:] == after[2:]
+
+
+def _tail(rho, K):
+    """2 sum_{j>K} (rho/2)^j / j! in units of 2^-53, by lgamma and fsum."""
+    x = rho / 2
+    return 2 * math.fsum(
+        math.exp(j * math.log(x) - math.lgamma(j + 1) + 53 * math.log(2))
+        for j in range(K + 1, K + 400 + int(4 * x)))
+
+
+@pytest.mark.parametrize("rho", [1e-10, 0.5, 1.0, 8.5, 10.4, 19.4, 26.1,
+                                 100.0, 3464.1, fock.MAX_WEYL_RHO])
+def test_term_count_is_the_least_meeting_the_tail_bound(rho):
+    K = len(fock._bessel(rho)) - 1
+    assert K == fock._terms(rho, 2.0 ** -53)
+    assert _tail(rho, K) <= 1.0
+    assert K == 0 or _tail(rho, K - 1) > 1.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0])
+def test_bessel_values_match_scipy(rho):
+    # beyond about rho = 40, scipy's jv strays from 30-digit values by more
+    # than 1e-15 (1.4e-15 at 60, 2.7e-14 at 3464); the test below takes over
+    import scipy.special
+    J = fock._bessel(rho)
+    want = scipy.special.jv(np.arange(J.size), rho)
+    assert np.max(np.abs(J - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.5, 10.0, 60.0, 300.0, fock.MAX_WEYL_RHO])
+def test_bessel_values_match_multiprecision(rho):
+    mpmath = pytest.importorskip("mpmath")
+    J = fock._bessel(rho)
+    orders = np.unique(np.linspace(0, J.size - 1, 6).astype(int))
+    with mpmath.workdps(20):
+        want = [float(mpmath.besselj(int(k), rho, maxprec=20000))
+                for k in orders]
+    assert np.max(np.abs(J[orders] - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11)])
+def test_scaled_generator_is_skew_hermitian_within_rho(d, N):
+    # S G S^-1 with S = diag(sqrt(m!)): the frame in which the propagator's
+    # series converges, with norm at most rho = 2 |h| sqrt(N)
+    h = _weyl_h(d, np.random.default_rng(5 + d))
+    s = np.sqrt(fock._basis(d, N).weight)
+    H = s[:, None] * fock.weyl(h, N)._A.toarray() / s
+    assert np.max(np.abs(H + H.conj().T)) <= 1e-15 * np.max(np.abs(H))
+    assert np.linalg.norm(H, 2) <= 2 * np.linalg.norm(h) * np.sqrt(N)
+
+
+@pytest.mark.parametrize("h, N", [([0.0], 9), ([0.0, 0.0, 0.0], 5),
+                                  ([1e200], 0)])
+def test_weyl_action_at_rho_zero_returns_its_input(h, N):
+    # rho = 0 for h = 0, and at cutoff 0, where G = 0 whatever h is
+    d = len(h)
+    F = fock.represent_state(states.coherent(_weyl_h(d, np.random.default_rng(
+        d))), N)
+    out = fock.apply_operator(fock.weyl(h, N), F)
+    assert np.array_equal(out.vector, F.vector)
+
+
+def test_weyl_action_below_the_cap_returns():
+    # rho = 3464 at h = 1e3 and cutoff 3: about 4700 terms
+    out = fock.apply_operator(fock.weyl([1e3], 3), fock.vacuum_tensor(1, 3))
+    assert np.all(np.isfinite(out.vector))
 
 
 @pytest.mark.parametrize("d", [4, 5])
