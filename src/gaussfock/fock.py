@@ -11,10 +11,11 @@ and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 and .coeffs builds it on first read. A FockOperator acts on the same
 vectors through one matrix A, as A or as exp(A). One routine assembles
 a+(f), a(f) and the generator a+(h) - a(h*) of the displacement W(h) of weyl
-as CSR matrices from the basis tables; W(h) is applied to vectors by the
-Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
-whose Bessel coefficients come from Miller's backward recurrence. Only
-gamma, and a read of .matrix, make a dense matrix.
+as row tables: each row holds a fixed number of entries, at columns kept
+with the basis, so a build computes only their values. W(h) is applied to
+vectors by the Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 3967 (1984)), whose Bessel coefficients come from Miller's backward
+recurrence. Only gamma, and a read of .matrix, make a dense matrix.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
@@ -88,7 +89,7 @@ __all__ = [
 MAX_GRID_ENTRIES = 20_000_000
 MAX_CUTOFF = 170          # 171! overflows float64 basis weights
 # cap on rho = 2 ||h|| sqrt(cutoff), the norm bound of the Weyl generator: it
-# holds the propagator to at most 5600 terms, one sparse matvec each, and
+# holds the propagator to at most 5600 terms, one row-table matvec each, and
 # admits every h whose truncation is meaningful (||h||^2 well below the
 # cutoff, at most 170) with a wide margin
 MAX_WEYL_RHO = 4096.0
@@ -141,11 +142,11 @@ class FockTensor:
 class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
-    It holds one dense or sparse (B, B) matrix A, B the basis size, and acts
-    as A, or as exp(A) when weyl sets _h, the h of W(h). .matrix is a dense A
-    itself; otherwise A.toarray(), or scipy.linalg.expm of it, computed on
-    first read and kept. It refuses an entry that overflowed float64 or is
-    NaN.
+    It holds one (B, B) matrix A, B the basis size, dense or a row table of
+    _ladder, and acts as A, or as exp(A) when weyl sets _h, the h of W(h).
+    .matrix is a dense A itself; otherwise A.toarray(), or scipy.linalg.expm
+    of it, computed on first read and kept. It refuses an entry that
+    overflowed float64 or is NaN.
     """
 
     def __init__(self, dim: int, cutoff: int, matrix):
@@ -166,7 +167,8 @@ class FockOperator:
             _check_dense(dense.shape[0])
             dense = dense.toarray()
         if self._h is not None:
-            # imported here, like scipy.sparse in _ladder: see the note there
+            # imported here, the package's one use of scipy, so that no
+            # other route loads it
             import scipy.linalg
             dense = scipy.linalg.expm(dense)
         _require_finite("matrix", dense)
@@ -214,8 +216,8 @@ class _Basis:
     -/+ e_mu, or size off the basis; callers pad their arrays with a zero
     there. parent[i] = down[i, axis[i]] for the first axis with
     idx[i, axis] > 0: the edge along which the recurrences build entry i.
-    steps and indices are built on first read: the Gaussian recurrence's
-    tables, and idx as tuples.
+    steps, ladder_cols and indices are built on first read: the Gaussian
+    recurrence's tables, the ladder operators' columns, and idx as tuples.
     """
 
     idx: np.ndarray
@@ -248,6 +250,17 @@ class _Basis:
             k = slice(lo - 1, hi - 1)
             out.append((slice(lo, hi), self.axis[lo:hi], src[k], inv[k]))
         return tuple(out)
+
+    @cached_property
+    def ladder_cols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column tables of _ladder's row tables, as intp and read-only:
+        down, up read backwards, and the two side by side."""
+        down = self.down.astype(np.intp)
+        up = np.ascontiguousarray(self.up[:, ::-1], dtype=np.intp)
+        cols = (down, up, np.hstack([down, up]))
+        for c in cols:
+            c.flags.writeable = False
+        return cols
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -465,15 +478,16 @@ def _propagate(G, rho: float, v: np.ndarray) -> np.ndarray:
     commutes through each polynomial, S^-1 T_k(H / rho) S = T_k(-iG / rho),
     so the series runs on G itself: u_k = i^k T_k(-iG / rho) v obeys
     u_{k+1} = (2 / rho) G u_k + u_{k-1}, and
-    exp(G) v = J_0 u_0 + 2 sum_{k <= K} J_k u_k, one sparse matvec per term.
-    The terms dropped beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53
-    times ||v|| in the Fock norm (see _terms).
+    exp(G) v = J_0 u_0 + 2 sum_{k <= K} J_k u_k, one matvec per term of the
+    row table G with its values scaled once by 2 / rho. The terms dropped
+    beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53 times ||v|| in
+    the Fock norm (see _terms).
     """
     J = _bessel(rho)
     out = J[0] * v
     if J.size == 1:
         return out
-    step = G * (2.0 / rho)
+    step = _RowTable(G.cols, G.vals * (2.0 / rho))
     prev, cur = v, 0.5 * (step @ v)
     for c in 2.0 * J[1:-1]:
         out += c * cur
@@ -528,30 +542,50 @@ def _bessel(rho: float) -> np.ndarray:
     return f[:K + 1] / (f[0] + 2.0 * f[2::2].sum())
 
 
+class _RowTable:
+    """A (size, size) matrix with a fixed number of entries per row.
+
+    Row i holds vals[i, j] at column cols[i, j]; an entry off the basis
+    points at the pad column size and holds exactly 0. A product gathers
+    the vector padded with a zero and sums each row in column order, the
+    order of a CSR matvec; toarray scatters the entries densely.
+    """
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray):
+        self.cols, self.vals = cols, vals
+        self.shape = (len(cols),) * 2
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.vals, np.append(v, 0)[self.cols])
+
+    def toarray(self) -> np.ndarray:
+        size = self.shape[0]
+        flat = np.zeros(size * size + 1, dtype=complex)   # last entry: the pad
+        keys = np.arange(0, size * size, size)[:, None] + self.cols
+        # += adds each entry to a zero, so a -0.0 entry reads 0.0, as in CSR
+        flat[np.where(self.cols < size, keys, size * size)] += self.vals
+        return flat[:-1].reshape(size, size)
+
+
 @_quiet   # an entry that overflowed is refused in its action
-def _ladder(b: _Basis, raising, lowering):
-    """CSR matrix of a+(raising) + a(lowering); None leaves a half out.
+def _ladder(b: _Basis, raising, lowering) -> _RowTable:
+    """Row table of a+(raising) + a(lowering); None leaves a half out.
 
     Row i holds raising[mu] at column down[i, mu] and lowering[mu] *
     (idx[i, mu] + 1) at up[i, mu], where these exist. down lies a degree
     below i and rises with mu, up a degree above and falls with mu, so with
-    up read backwards every row's columns come out sorted.
+    up read backwards every row's columns rise: the half of
+    _Basis.ladder_cols that each operand needs.
     """
-    # imported here: at module level it raised the peak memory of a process
-    # that imports gaussfock and gaussfock.cli and runs one d=2 circuit from
-    # 32.6 to 54.1 MB (3 runs each on 2 cores, all within 0.1 MB)
-    from scipy.sparse import csr_array
-
     halves = []
     if raising is not None:
-        halves.append((b.down, np.broadcast_to(raising, b.down.shape)))
+        halves.append(np.broadcast_to(raising, b.down.shape))
     if lowering is not None:
-        halves.append((b.up[:, ::-1], lowering[::-1] * (b.idx[:, ::-1] + 1)))
-    cols, vals = map(np.hstack, zip(*halves))
-    pos = np.flatnonzero(cols < b.size)   # flat: row i owns [i w, (i + 1) w)
-    indptr = np.searchsorted(pos, np.arange(0, cols.size + 1, cols.shape[1]))
-    return csr_array((vals.ravel()[pos], cols.ravel()[pos], indptr),
-                     shape=(b.size, b.size))
+        halves.append(lowering[::-1] * (b.idx[:, ::-1] + 1))
+    down, up, both = b.ladder_cols
+    cols = both if len(halves) == 2 else up if raising is None else down
+    vals = np.where(cols < b.size, np.hstack(halves), 0)
+    return _RowTable(cols, vals)
 
 
 def create(f, cutoff: int) -> FockOperator:
@@ -596,10 +630,11 @@ def gamma(B, cutoff: int) -> FockOperator:
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    apply_operator computes W(h) v from the sparse G with the Chebyshev
-    propagator of _propagate, and refuses rho = 2 ||h|| sqrt(cutoff), the
-    bound on ||G|| in the orthonormal frame, above MAX_WEYL_RHO; .matrix,
-    built on first read, is scipy.linalg.expm of the dense G.
+    apply_operator computes W(h) v from the row table of G with the
+    Chebyshev propagator of _propagate, and refuses rho = 2 ||h||
+    sqrt(cutoff), the bound on ||G|| in the orthonormal frame, above
+    MAX_WEYL_RHO; .matrix, built on first read, is scipy.linalg.expm of the
+    dense G.
     """
     h = as_vector(h)
     d = h.shape[0]

@@ -5,7 +5,9 @@ fails, and the error it raises carries .residual and .tol. The inventory
 lists every direct raise of a check-error class in the package outside
 _require; a new ad hoc check site shows up as a diff of the expected list
 below. The overflow policy is pinned the same way: one quiet switch, one
-site of the finite-entries error, one site of the exponent refusal.
+site of the finite-entries error, one site of the exponent refusal. So is
+the package's use of scipy: one lazy import of scipy.linalg, none of
+scipy.sparse.
 """
 
 import ast
@@ -186,6 +188,24 @@ def test_overflow_policy_has_one_site_each():
            and "exp({residual" in node.value
            and "overflows float64" in node.value]
     assert exp == ["linalg._exp"]
+
+
+def test_scipy_is_imported_at_one_site():
+    # the oracle's ladder and Weyl operators are numpy row tables, so no
+    # module imports scipy.sparse; the dense exponential of a weyl .matrix
+    # read is the one use of scipy, imported when it runs
+    imports = []
+    for module, owner, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imports += [f"{module}.{owner}: {name}" for name in names
+                    if name.split(".")[0] == "scipy"]
+    assert not any("scipy.sparse" in site for site in imports)
+    assert imports == ["fock.matrix: scipy.linalg"]
 
 
 def test_nested_quiet_calls_restore_the_error_state():

@@ -1,8 +1,8 @@
 """The oracle's amplitude recurrence against exact rationals, the
-least-cutoff search against the tail bound it inverts, the sparse ladder
-operators, the two routes of the Weyl operator (its action from the sparse
-generator and its dense matrix), and the flat tensor layout with its grid
-exchange format."""
+least-cutoff search against the tail bound it inverts, the row tables of
+the ladder operators, the two routes of the Weyl operator (its action from
+the row table of its generator and its dense matrix), and the flat tensor
+layout with its grid exchange format."""
 
 import math
 import os
@@ -208,11 +208,39 @@ def test_raise_table_steps_up_one_degree(d, N):
 
 
 @pytest.mark.parametrize("d, N", _TABLE_SIZES)
-def test_ladder_matrices_are_canonical_csr(d, N):
+def test_ladder_row_tables_keep_the_csr_column_order(d, N):
+    # within a row the entries on the basis come in rising column order, as
+    # in a CSR row; those off it point at the pad column size and hold 0.0
     h = _weyl_h(d, np.random.default_rng(d + N))
+    size = len(fock.basis_indices(d, N))
     for op in (fock.create(h, N), fock.annihilate(h, N), fock.weyl(h, N)):
-        assert op._A.format == "csr"
-        assert op._A.has_canonical_format
+        table = op._A
+        assert table.shape == (size, size) and table.cols.dtype == np.intp
+        on = table.cols < size
+        assert np.all(table.cols[~on] == size)
+        assert not table.vals[~on].view(np.uint8).any()
+        seen = np.maximum.accumulate(np.where(on, table.cols, -1), axis=1)
+        later = on[:, 1:]
+        assert np.all(table.cols[:, 1:][later] > seen[:, :-1][later])
+
+
+_OPERATOR_SIZES = [(1, 50), (1, 60), (1, 70), (2, 22), (2, 24), (2, 26),
+                   (3, 9), (3, 10), (3, 11)]
+
+
+@pytest.mark.parametrize("d, N", _OPERATOR_SIZES)
+def test_ladder_products_match_csr_bytes(d, N):
+    # a row table sums each row in the order of scipy's CSR matvec, so the
+    # actions keep their bytes
+    from scipy.sparse import csr_array
+    rng = np.random.default_rng(41 + 100 * d + N)
+    h = _weyl_h(d, rng)
+    size = len(fock.basis_indices(d, N))
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for table in (fock.create(h, N)._A, fock.annihilate(h, N)._A,
+                  fock.weyl(h, N)._A):
+        want = csr_array(table.toarray()) @ v
+        assert (table @ v).tobytes() == want.tobytes()
 
 
 def test_weyl_builds_its_generator_without_the_ladder_operators(monkeypatch):
@@ -258,7 +286,7 @@ def _low_degree_tensor(d, N, top, rng):
 
 
 def test_ladder_operators_act_beyond_the_dense_guard():
-    # at (2, 94) a dense ladder matrix is refused; the sparse one acts
+    # at (2, 94) a dense ladder matrix is refused; its row table acts
     d, N = 2, 94
     rng = np.random.default_rng(94)
     f, g = np.array([0.3, 0.2j]), np.array([0.25 - 0.1j, 0.4])
@@ -278,20 +306,24 @@ _IMPORT_PROBE = """
 import sys
 import gaussfock, gaussfock.cli
 from gaussfock import circuits, fock
+def loaded():
+    names = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse")
+    print(*(name in sys.modules for name in names))
 circuits.run(circuits.parse("S(0, 0.5, 0.0)\\nD(1, 0.3, 0.1)"), 2)
-print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+loaded()
 w = fock.weyl([0.3], 8)
 fock.apply_operator(w, fock.vacuum_tensor(1, 8))
 fock.create([0.3], 8).matrix
-print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+loaded()
 w.matrix
-print("scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+loaded()
 """
 
 
 def test_sparse_scipy_loads_only_on_the_weyl_path():
-    # the Weyl action is a Chebyshev series of sparse matvecs; only the
-    # dense exponential of a weyl .matrix read needs scipy.linalg
+    # the ladder operators are row tables and the Weyl action a Chebyshev
+    # series of their matvecs, so scipy.sparse never loads; only the dense
+    # exponential of a weyl .matrix read needs scipy.linalg
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussfock.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -299,8 +331,11 @@ def test_sparse_scipy_loads_only_on_the_weyl_path():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False", "False", "False",
-                                  "False", "True"]
+    flags = [line.split() for line in res.stdout.splitlines()]
+    assert [line[:2] for line in flags] == [["False", "False"],
+                                           ["False", "False"],
+                                           ["False", "True"]]
+    assert [line[2] for line in flags] == ["False"] * 3
 
 
 @pytest.mark.parametrize("d, N, h", [
