@@ -9,13 +9,13 @@ coefficients c_m of sum_m c_m E_m, where E_m = e_1^{m_1} v ... v e_d^{m_d}
 and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 (cutoff+1,)^dim grid is only its exchange format: the constructor takes it,
 and .coeffs builds it on first read. A FockOperator acts on the same
-vectors through one matrix A, as A or as exp(A). One routine assembles
-a+(f), a(f) and the generator a+(h) - a(h*) of the displacement W(h) of weyl
-as row tables: each row holds a fixed number of entries, at columns kept
-with the basis, so a build computes only their values. W(h) is applied to
-vectors by the Chebyshev propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
-81, 3967 (1984)), whose Bessel coefficients come from Miller's backward
-recurrence. Only gamma, and a read of .matrix, make a dense matrix.
+vectors through one matrix A, as A or as exp(A). The package builds every A
+as a row table, each row a fixed number of entries at columns kept with the
+basis, so a build computes only their values: one routine for a+(f), a(f)
+and the generator a+(h) - a(h*) of the displacement W(h) of weyl, and gamma
+for Gamma(B), by degree blocks. exp(A) is the Chebyshev propagator
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). Only a read of
+.matrix makes a dense matrix; for W(h), it propagates the identity.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
@@ -142,10 +142,11 @@ class FockTensor:
 class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
-    It holds one (B, B) matrix A, B the basis size, dense or a row table of
-    _ladder, and acts as A, or as exp(A) when weyl sets _h, the h of W(h).
-    .matrix is a dense A itself; otherwise A.toarray(), or scipy.linalg.expm
-    of it, computed on first read and kept. It refuses an entry that
+    It holds one (B, B) matrix A, B the basis size: the row table of
+    _ladder or gamma, or a caller's dense matrix. It acts as A, or as exp(A)
+    when weyl sets _h, the h of W(h). .matrix is a dense A itself;
+    otherwise A.toarray(), or for W(h) the propagator applied to the
+    identity, computed on first read and kept. It refuses an entry that
     overflowed float64 or is NaN.
     """
 
@@ -162,17 +163,22 @@ class FockOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        dense = self._A
-        if not isinstance(dense, np.ndarray):
-            _check_dense(dense.shape[0])
-            dense = dense.toarray()
-        if self._h is not None:
-            # imported here, the package's one use of scipy, so that no
-            # other route loads it
-            import scipy.linalg
-            dense = scipy.linalg.expm(dense)
-        _require_finite("matrix", dense)
-        return dense
+        A = self._A
+        if not isinstance(A, np.ndarray):
+            size = A.shape[0]
+            if size * size > MAX_GRID_ENTRIES:
+                raise GaussFockError(f"dense operator of shape ({size}, "
+                                     f"{size}) exceeds the size guard")
+            if self._h is None:
+                A = A.toarray()
+            else:
+                # W(h) on the identity, k columns per (size, w, k) gather
+                k = max(1, MAX_GRID_ENTRIES // A.vals.size)
+                A = np.hstack([_propagate(self, np.eye(
+                    size, min(k, size - j), -j, dtype=complex))
+                    for j in range(0, size, k)])
+        _require_finite("matrix", A)
+        return A
 
 
 def _check_size(dim: int, cutoff: int) -> None:
@@ -194,12 +200,6 @@ def _check_size(dim: int, cutoff: int) -> None:
                              f"{cutoff} exceeds the size guard")
 
 
-def _check_dense(size: int) -> None:
-    if size * size > MAX_GRID_ENTRIES:
-        raise GaussFockError(
-            f"dense operator of shape ({size}, {size}) exceeds the size guard")
-
-
 def _factorials(cutoff: int) -> np.ndarray:
     """k! for k = 0..cutoff, as float64 (exact to ~1e-14 up to 170!)."""
     return np.cumprod(np.concatenate([[1.0], np.arange(1.0, cutoff + 1)]))
@@ -216,8 +216,9 @@ class _Basis:
     -/+ e_mu, or size off the basis; callers pad their arrays with a zero
     there. parent[i] = down[i, axis[i]] for the first axis with
     idx[i, axis] > 0: the edge along which the recurrences build entry i.
-    steps, ladder_cols and indices are built on first read: the Gaussian
-    recurrence's tables, the ladder operators' columns, and idx as tuples.
+    steps, ladder_cols, gamma_cols and indices are built on first read: the
+    tables of the Gaussian recurrence, of the ladder operators and of gamma,
+    and idx as tuples.
     """
 
     idx: np.ndarray
@@ -261,6 +262,24 @@ class _Basis:
         for c in cols:
             c.flags.writeable = False
         return cols
+
+    @cached_property
+    def gamma_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column tables of gamma's row table, as intp and read-only, refused
+        beyond MAX_GRID_ENTRIES: cols, where a row of degree n holds the
+        columns start[n] + j of its degree block, then the pad column size up
+        to the width of the top degree's block; and for each row the column
+        of its parent within the block below."""
+        widths = np.diff(self.start)
+        if self.size * widths[-1] > MAX_GRID_ENTRIES:
+            raise GaussFockError(f"row table of shape ({self.size}, "
+                                 f"{widths[-1]}) exceeds the size guard")
+        cols = np.repeat(self.start[:-1], widths)[:, None] + np.arange(
+            widths[-1], dtype=np.intp)
+        cols[cols >= np.repeat(self.start[1:], widths)[:, None]] = self.size
+        parent = self.parent - np.repeat(np.r_[0, self.start[:-2]], widths)
+        cols.flags.writeable = parent.flags.writeable = False
+        return cols, parent
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -454,23 +473,17 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
             "operator and tensor must share dimension and cutoff")
-    if op._h is None:
-        return FockTensor._of(F.dim, F.cutoff, op._A @ F.vector)
-    # rho bounds ||G|| in the orthonormal frame of _propagate: there a+(h)
-    # maps degree n to n + 1 with norm ||h|| sqrt(n + 1) <= ||h|| sqrt(cutoff),
-    # and a(h*) is its adjoint. At cutoff 0, G = 0
-    rho = (2.0 * math.sqrt(F.cutoff) * math.hypot(*np.abs(op._h))
-           if F.cutoff else 0.0)
-    _require(rho, MAX_WEYL_RHO, GaussFockError,
-             "Weyl action needs 2 |h| sqrt(cutoff) at most {tol:g}, "
-             "got {residual:.6g}")
-    return FockTensor._of(F.dim, F.cutoff, _propagate(op._A, rho, F.vector))
+    out = op._A @ F.vector if op._h is None else _propagate(op, F.vector)
+    return FockTensor._of(F.dim, F.cutoff, out)
 
 
-def _propagate(G, rho: float, v: np.ndarray) -> np.ndarray:
-    """exp(G) v by the Chebyshev propagator of Tal-Ezer & Kosloff (J. Chem.
-    Phys. 81, 3967 (1984)), for a G that is skew-Hermitian with norm at most
-    rho in the orthonormal frame.
+def _propagate(op: FockOperator, v: np.ndarray) -> np.ndarray:
+    """W(h) v, for the op of weyl and v a vector or a (size, k) block, by
+    the Chebyshev propagator of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967
+    (1984)). Its generator G = op._A is skew-Hermitian with norm at most
+    rho = 2 ||h|| sqrt(cutoff) in the orthonormal frame, where a+(h) maps
+    degree n to n + 1 with norm ||h|| sqrt(n + 1) and a(h*) is its adjoint;
+    at cutoff 0, G = 0. A rho above MAX_WEYL_RHO is refused.
 
     With S = diag(sqrt(m!)) the vectors E_m / sqrt(m!) are orthonormal, so
     H = -i S G S^-1 is Hermitian with ||H|| <= rho, exp(G) = S^-1 exp(iH) S,
@@ -483,11 +496,16 @@ def _propagate(G, rho: float, v: np.ndarray) -> np.ndarray:
     beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53 times ||v|| in
     the Fock norm (see _terms).
     """
+    rho = (2.0 * math.sqrt(op.cutoff) * math.hypot(*np.abs(op._h))
+           if op.cutoff else 0.0)
+    _require(rho, MAX_WEYL_RHO, GaussFockError,
+             "Weyl action needs 2 |h| sqrt(cutoff) at most {tol:g}, "
+             "got {residual:.6g}")
     J = _bessel(rho)
     out = J[0] * v
     if J.size == 1:
         return out
-    step = _RowTable(G.cols, G.vals * (2.0 / rho))
+    step = _RowTable(op._A.cols, op._A.vals * (2.0 / rho))
     prev, cur = v, 0.5 * (step @ v)
     for c in 2.0 * J[1:-1]:
         out += c * cur
@@ -546,9 +564,9 @@ class _RowTable:
     """A (size, size) matrix with a fixed number of entries per row.
 
     Row i holds vals[i, j] at column cols[i, j]; an entry off the basis
-    points at the pad column size and holds exactly 0. A product gathers
-    the vector padded with a zero and sums each row in column order, the
-    order of a CSR matvec; toarray scatters the entries densely.
+    points at the pad column size and holds exactly 0. A product with a
+    vector or a (size, k) block sums each row of the gathered, zero-padded
+    operand in column order, as a CSR matvec does; toarray scatters densely.
     """
 
     def __init__(self, cols: np.ndarray, vals: np.ndarray):
@@ -556,7 +574,8 @@ class _RowTable:
         self.shape = (len(cols),) * 2
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.vals, np.append(v, 0)[self.cols])
+        padded = np.concatenate([v, np.zeros_like(v[:1])])
+        return np.einsum("ij,ij...->i...", self.vals, padded[self.cols])
 
     def toarray(self) -> np.ndarray:
         size = self.shape[0]
@@ -610,31 +629,32 @@ def annihilate(f, cutoff: int) -> FockOperator:
 def gamma(B, cutoff: int) -> FockOperator:
     """Second quantization: Gamma(B) E_m = prod_mu (B e_mu)^{v m_mu}.
 
-    Degree by degree, the column of m = p + e_mu is (B e_mu) v (column of
-    p); its entry r gathers sum_nu B[nu, mu] (column of p)[r - e_nu].
+    Gamma(B) keeps the total degree, so a row of its row table holds the
+    columns of its degree block (_Basis.gamma_cols). Degree by degree, the
+    column of m = p + e_mu is (B e_mu) v (column of p); its entry r gathers
+    sum_nu B[nu, mu] (column of p)[r - e_nu].
     """
     B = as_matrix(B)
     d = B.shape[0]
     b = _basis(d, cutoff)
-    _check_dense(b.size)
-    M = np.zeros((b.size + 1, b.size), dtype=complex)   # last row: the pad
-    M[0, 0] = 1.0
+    cols, parent = b.gamma_cols
+    Bmu, down = B[:, b.axis], b.down[:, :, None]
+    V = np.zeros((b.size + 1, cols.shape[1]), dtype=complex)  # last row: pad
+    V[0, 0] = 1.0
     for n in range(1, cutoff + 1):
         rows = slice(b.start[n], b.start[n + 1])
-        mu, p = b.axis[rows], b.parent[rows]
-        M[rows, rows] = sum(
-            B[nu, mu] * M[b.down[rows, nu][:, None], p] for nu in range(d))
-    return FockOperator(d, cutoff, M[:-1])
+        p = parent[rows]
+        V[rows, :len(p)] = sum(
+            Bmu[nu, rows] * V[down[rows, nu], p] for nu in range(d))
+    return FockOperator(d, cutoff, _RowTable(cols, V[:-1]))
 
 
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    apply_operator computes W(h) v from the row table of G with the
-    Chebyshev propagator of _propagate, and refuses rho = 2 ||h||
-    sqrt(cutoff), the bound on ||G|| in the orthonormal frame, above
-    MAX_WEYL_RHO; .matrix, built on first read, is scipy.linalg.expm of the
-    dense G.
+    The operator holds the row table of G. apply_operator computes W(h) v,
+    and .matrix, built on first read, W(h) on the identity, both by the
+    Chebyshev propagator of _propagate.
     """
     h = as_vector(h)
     d = h.shape[0]

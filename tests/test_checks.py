@@ -6,12 +6,13 @@ lists every direct raise of a check-error class in the package outside
 _require; a new ad hoc check site shows up as a diff of the expected list
 below. The overflow policy is pinned the same way: one quiet switch, one
 site of the finite-entries error, one site of the exponent refusal. So is
-the package's use of scipy: one lazy import of scipy.linalg, none of
-scipy.sparse.
+the package's one runtime dependency: no module imports anything but numpy
+and the standard library.
 """
 
 import ast
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,22 +191,21 @@ def test_overflow_policy_has_one_site_each():
     assert exp == ["linalg._exp"]
 
 
-def test_scipy_is_imported_at_one_site():
-    # the oracle's ladder and Weyl operators are numpy row tables, so no
-    # module imports scipy.sparse; the dense exponential of a weyl .matrix
-    # read is the one use of scipy, imported when it runs
+def test_numpy_is_the_one_dependency_imported():
+    # the oracle's operators are numpy row tables and a Weyl operator's
+    # exp(G) is the Chebyshev propagator, so no module imports scipy; every
+    # import outside the package is numpy or the standard library
     imports = []
     for module, owner, node in package_nodes():
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names = [node.module]
         else:
             continue
         imports += [f"{module}.{owner}: {name}" for name in names
-                    if name.split(".")[0] == "scipy"]
-    assert not any("scipy.sparse" in site for site in imports)
-    assert imports == ["fock.matrix: scipy.linalg"]
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    assert imports and all(site.endswith(": numpy") for site in imports)
 
 
 def test_nested_quiet_calls_restore_the_error_state():

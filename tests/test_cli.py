@@ -269,6 +269,69 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["passed"] is True
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None     # any import of scipy now raises ImportError
+from gaussfock import cli, fock
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+# and the oracle's dense reads, which no subcommand makes
+for op in (fock.gamma([[0.6, 0.8], [-0.8, 0.6]], 8), fock.weyl([0.3, 0.2j], 8)):
+    op.matrix
+print(json.dumps(codes))
+"""
+
+
+def _leaf_commands(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, path + (name,))
+    if path and not any(isinstance(action, argparse._SubParsersAction)
+                        for action in parser._actions):
+        yield path
+
+
+class TestWithoutScipy:
+    def test_every_subcommand_runs_with_scipy_unimportable(self, tmp_path):
+        # numpy is the package's one runtime dependency: every subcommand,
+        # verify --suite all among them, runs with scipy unimportable
+        x, y = (states.random_state(2, rng, max_z=0.4, max_f=0.6)
+                for _ in range(2))
+        px = write(tmp_path, "x.json", ser.encode_state(x))
+        py = write(tmp_path, "y.json", ser.encode_state(y))
+        pr = write(tmp_path, "r.json",
+                   ser.encode_symplectic(sp.random_element(2, rng)))
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        pa = write(tmp_path, "a.json", ser.encode_matrix(A + A.T))
+        pm = write(tmp_path, "m.json", ser.encode_vector(np.array([1.0, 2.5])))
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("S(0, 0.5, 0.0)\nD(1, 0.3, 0.1)\n"
+                           'SYMP("r.json")\n', encoding="utf-8")
+        commands = [
+            ["verify", "--suite", "all"],
+            ["overlap", "--state-a", px, "--state-b", py, "--oracle"],
+            ["apply", "--symplectic", pr, "--state", px],
+            ["compose", "--a", pr, "--b", pr],
+            ["run", "--circuit", str(circuit), "--dim", "2"],
+            ["run", "--circuit", str(circuit), "--dim", "2", "--normal-form"],
+            ["takagi", "--matrix", pa],
+            ["demo", "free-field", "--symplectic", pr, "--spectrum", pm,
+             "--t", "0.8"],
+        ]
+        assert ({tuple(argv[:2]) if argv[0] == "demo" else (argv[0],)
+                 for argv in commands}
+                == set(_leaf_commands(cli.build_parser())))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
+
+
 class TestTakagi:
     def test_factors_symmetric_matrix(self, tmp_path, capsys):
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -320,6 +320,27 @@ class TestGammaAndWeyl:
         want = fock.exp_vector(K @ f, N)
         assert fock.tensor_residual(got, want) < 1e-10
 
+    @pytest.mark.parametrize("d, N", [(1, 20), (2, 12), (3, 8), (4, 6)])
+    def test_gamma_group_law_and_adjoint(self, d, N):
+        # Gamma(B1) Gamma(B2) = Gamma(B1 B2) and (Gamma(B) F|G) =
+        # (F|Gamma(B+) G), for B neither unitary nor normal
+        local = np.random.default_rng(311 + d)
+        B1, B2 = (local.normal(size=(d, d)) + 1j * local.normal(size=(d, d))
+                  for _ in range(2))
+        size = len(fock.basis_indices(d, N))
+        F, G = (fock.FockTensor._of(d, N, local.normal(size=size)
+                                    + 1j * local.normal(size=size))
+                for _ in range(2))
+        act = fock.apply_operator
+        lhs = act(fock.gamma(B1, N), act(fock.gamma(B2, N), F))
+        rhs = act(fock.gamma(B1 @ B2, N), F)
+        assert fock.tensor_residual(lhs, rhs) <= 1e-12 * fock.tensor_norm(rhs)
+        BF = act(fock.gamma(B1, N), F)
+        left = fock.inner(BF, G)
+        right = fock.inner(F, act(fock.gamma(np.conj(B1).T, N), G))
+        scale = fock.tensor_norm(BF) * fock.tensor_norm(G)
+        assert abs(left - right) <= 1e-12 * scale
+
     def test_weyl_vacuum_is_coherent(self):
         d, N = 2, 24
         h = np.array([0.4 + 0.2j, -0.3 + 0.1j])

@@ -1,8 +1,8 @@
 """The oracle's amplitude recurrence against exact rationals, the
 least-cutoff search against the tail bound it inverts, the row tables of
-the ladder operators, the two routes of the Weyl operator (its action from
-the row table of its generator and its dense matrix), and the flat tensor
-layout with its grid exchange format."""
+the ladder operators and of Gamma(B), the Weyl operator's action and matrix
+(both by the Chebyshev propagator, the matrix against scipy's dense expm),
+and the flat tensor layout with its grid exchange format."""
 
 import math
 import os
@@ -14,7 +14,6 @@ from math import factorial
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import gaussfock
 from gaussfock import fock, states
@@ -148,13 +147,19 @@ def _weyl_h(d, rng):
 
 @pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 7), (3, 5)])
 def test_weyl_generator_and_matrix_match_dense_route(d, N):
+    # .matrix is the propagator on the identity; against scipy's dense expm,
+    # in the orthonormal frame where W(h) is unitary, the two differ by at
+    # most 1.5e-15 at these sizes
+    import scipy.linalg
     rng = np.random.default_rng(17 + d)
+    s = np.sqrt(fock._basis(d, N).weight)
     for h in (_weyl_h(d, rng), np.array([0.0, 0.4, -0.2j][:d]), np.zeros(d)):
         dense = (fock.create(h, N).matrix
                  - fock.annihilate(involution(h), N).matrix)
         w = fock.weyl(h, N)
         assert np.array_equal(w._A.toarray(), dense)
-        assert w.matrix.tobytes() == scipy.linalg.expm(dense).tobytes()
+        diff = s[:, None] * (w.matrix - scipy.linalg.expm(dense)) / s
+        assert np.max(np.abs(diff)) <= 1e-14
 
 
 @pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11), (1, 50), (1, 60),
@@ -207,21 +212,43 @@ def test_raise_table_steps_up_one_degree(d, N):
                           b.idx[below][:, None] + np.eye(d, dtype=int))
 
 
-@pytest.mark.parametrize("d, N", _TABLE_SIZES)
-def test_ladder_row_tables_keep_the_csr_column_order(d, N):
+def _check_csr_column_order(table, size):
     # within a row the entries on the basis come in rising column order, as
     # in a CSR row; those off it point at the pad column size and hold 0.0
+    assert table.shape == (size, size) and table.cols.dtype == np.intp
+    on = table.cols < size
+    assert np.all(table.cols[~on] == size)
+    assert not table.vals[~on].view(np.uint8).any()
+    seen = np.maximum.accumulate(np.where(on, table.cols, -1), axis=1)
+    later = on[:, 1:]
+    assert np.all(table.cols[:, 1:][later] > seen[:, :-1][later])
+    with pytest.raises(ValueError):
+        table.cols.flat[0] = table.cols.flat[0]
+
+
+@pytest.mark.parametrize("d, N", _TABLE_SIZES)
+def test_ladder_row_tables_keep_the_csr_column_order(d, N):
     h = _weyl_h(d, np.random.default_rng(d + N))
     size = len(fock.basis_indices(d, N))
     for op in (fock.create(h, N), fock.annihilate(h, N), fock.weyl(h, N)):
-        table = op._A
-        assert table.shape == (size, size) and table.cols.dtype == np.intp
-        on = table.cols < size
-        assert np.all(table.cols[~on] == size)
-        assert not table.vals[~on].view(np.uint8).any()
-        seen = np.maximum.accumulate(np.where(on, table.cols, -1), axis=1)
-        later = on[:, 1:]
-        assert np.all(table.cols[:, 1:][later] > seen[:, :-1][later])
+        _check_csr_column_order(op._A, size)
+
+
+@pytest.mark.parametrize("d, N", _TABLE_SIZES)
+def test_gamma_row_table_keeps_the_csr_column_order(d, N):
+    # Gamma(B) keeps the total degree: a row's columns are its degree block,
+    # as wide as the top degree's, and its matrix is block diagonal
+    rng = np.random.default_rng(d + N)
+    B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    b = fock._basis(d, N)
+    table = fock.gamma(B, N)._A
+    _check_csr_column_order(table, b.size)
+    degree = b.idx.sum(axis=1)
+    assert table.cols.shape == (b.size, math.comb(N + d - 1, d - 1))
+    on = table.cols < b.size
+    assert np.array_equal(on.sum(axis=1), np.diff(b.start)[degree])
+    rows = np.broadcast_to(degree[:, None], on.shape)
+    assert np.array_equal(degree[table.cols[on]], rows[on])
 
 
 _OPERATOR_SIZES = [(1, 50), (1, 60), (1, 70), (2, 22), (2, 24), (2, 26),
@@ -268,9 +295,16 @@ def test_dense_operators_refuse_sizes_beyond_the_guard():
     for build in (lambda: fock.create(h, N).matrix,
                   lambda: fock.annihilate(h, N).matrix,
                   lambda: fock.weyl(h, N).matrix,
-                  lambda: fock.gamma(np.eye(d), N)):
+                  lambda: fock.gamma(np.eye(d), N).matrix):
         with pytest.raises(GaussFockError):
             build()
+    # Gamma(K)'s row table holds B (N + 1) entries, so it builds and acts
+    K = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))[0]
+    f = np.array([0.4, -0.3j])
+    got = fock.apply_operator(fock.gamma(K, N), fock.exp_vector(f, N))
+    want = fock.exp_vector(K @ f, N).vector
+    low = len(fock.basis_indices(d, N // 3))
+    assert np.max(np.abs(got.vector[:low] - want[:low])) <= 1e-15
     out = fock.apply_operator(fock.weyl(h, N), fock.vacuum_tensor(d, N))
     want = np.exp(-0.5 * np.vdot(h, h).real) * fock.exp_vector(h, N).coeffs
     low = tuple(np.array([m for m in fock.basis_indices(d, N)
@@ -307,23 +341,23 @@ import sys
 import gaussfock, gaussfock.cli
 from gaussfock import circuits, fock
 def loaded():
-    names = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse")
-    print(*(name in sys.modules for name in names))
+    print(any(name.split(".")[0] == "scipy" for name in sys.modules))
 circuits.run(circuits.parse("S(0, 0.5, 0.0)\\nD(1, 0.3, 0.1)"), 2)
 loaded()
 w = fock.weyl([0.3], 8)
 fock.apply_operator(w, fock.vacuum_tensor(1, 8))
 fock.create([0.3], 8).matrix
+fock.apply_operator(fock.gamma([[0.6]], 8), fock.vacuum_tensor(1, 8))
 loaded()
 w.matrix
+fock.gamma([[0.6]], 8).matrix
 loaded()
 """
 
 
-def test_sparse_scipy_loads_only_on_the_weyl_path():
-    # the ladder operators are row tables and the Weyl action a Chebyshev
-    # series of their matvecs, so scipy.sparse never loads; only the dense
-    # exponential of a weyl .matrix read needs scipy.linalg
+def test_no_scipy_module_loads():
+    # the ladder, Weyl and Gamma operators are row tables, the Weyl action
+    # and matrix a Chebyshev series of their matvecs: no scipy module loads
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussfock.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
@@ -331,11 +365,7 @@ def test_sparse_scipy_loads_only_on_the_weyl_path():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    flags = [line.split() for line in res.stdout.splitlines()]
-    assert [line[:2] for line in flags] == [["False", "False"],
-                                           ["False", "False"],
-                                           ["False", "True"]]
-    assert [line[2] for line in flags] == ["False"] * 3
+    assert res.stdout.split() == ["False"] * 3
 
 
 @pytest.mark.parametrize("d, N, h", [

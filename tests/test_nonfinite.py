@@ -260,13 +260,16 @@ OVERFLOWING_RESULTS = {
         states.make_state([[0.5]], [1e200])),
         r"^residual amplitude exp\(nan\) overflows float64$"),
     # the oracle's dense matrices: the powers of 1e300 in gamma's held inf
-    # and NaN, and expm of the Weyl generator came back all NaN
+    # and NaN; a Weyl matrix is its action on the identity, refused, as the
+    # action is, for the norm bound of its generator
     "gamma matrix": (lambda: fock.gamma([[1e300]], 3).matrix,
                      "^matrix entries must be finite$"),
     "weyl matrix": (lambda: fock.weyl([1e308], 3).matrix,
-                    "^matrix entries must be finite$"),
+                    r"^Weyl action needs 2 \|h\| sqrt\(cutoff\) at most 4096, "
+                    "got inf$"),
     "weyl matrix 1e200": (lambda: fock.weyl([1e200], 3).matrix,
-                          "^matrix entries must be finite$"),
+                          r"^Weyl action needs 2 \|h\| sqrt\(cutoff\) at most "
+                          r"4096, got 3\.4641e\+200$"),
 }
 
 
