@@ -27,12 +27,12 @@ and runs each check once over the whole stack, with the formulas and
 decisions of the single-element routes: the constraints and log det|U| of
 every gate and every product, by symplectic._check_pairs, the very check
 make_symplectic runs, and the multiplier of every gate with the product
-before it. The number of stacked checks does not grow with the circuit:
-three SVDs in all (V of the gates and V of the products, each giving both
-||V|| and log det|U|, then V of the final make_symplectic), two stacked
-solves and one stacked eigvals for the multiplier. The multiplier's ||M||,
-which only scales a pass/fail test, is taken only if ||M||_F does not
-clear its floor.
+before it; the result is built from the last product's entry. The number
+of stacked checks does not grow with the circuit: two SVDs in all (V of
+the gates and V of the products, each giving both ||V|| and log det|U|),
+two stacked solves and one stacked eigvals for the multiplier. The
+multiplier's ||M||, which only scales a pass/fail test, is taken only if
+||M||_F does not clear its floor.
 Loading a SYMP file, once per compile, adds the one SVD of its own
 make_symplectic. The phase and displacement are then folded in gate order
 into one running vector. The result is byte for byte the gate-by-gate fold
@@ -70,7 +70,8 @@ from .linalg import _require_finite
 from .representation import _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
-from .symplectic import SymplecticElement, _check_pairs, make_symplectic
+from .symplectic import (SymplecticElement, _check_pairs, _element,
+                         make_symplectic)
 
 __all__ = [
     "Gate",
@@ -292,7 +293,7 @@ def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
     _, log_det_g = _check_pairs(Ug, Vg)
     _require_finite("matrix", P)
     # P[0], the identity, passes with residual 0.
-    _, log_det_p = _check_pairs(PU, PV)
+    res_p, log_det_p = _check_pairs(PU, PV)
     chi = _multiplier(Ug, PU[:-1], PU[1:], log_det_g,
                       log_det_p[:-1], log_det_p[1:])
     log_chi = iter(np.log(chi))
@@ -312,7 +313,7 @@ def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
             k += 1
     # h_last, the input to the last gate, stands for every gate's input.
     _require_finite("vector", hd, h_last)
-    element = make_symplectic(PU[n], PV[n])
+    element = _element(PU[n], PV[n], res_p[n], log_det_p[n])
     return CompiledCircuit(h, element, complex(log_phase))
 
 

@@ -45,7 +45,8 @@ def encode_complex(z: complex) -> list[float]:
 
 def decode_complex(obj: Any) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(v, (int, float)) for v in obj)):
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in obj)):
         raise GaussFockError(f"expected [re, im], got {obj!r}")
     return complex(obj[0], obj[1])
 
@@ -78,8 +79,7 @@ def decode_matrix(obj: Any) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise GaussFockError(f"matrix object is missing key {exc}") from None
-    if not (isinstance(rows, int) and isinstance(cols, int)
-            and isinstance(data, list)):
+    if not (_is_count(rows) and _is_count(cols) and isinstance(data, list)):
         raise GaussFockError("matrix rows/cols must be ints, data an array")
     if len(data) != rows * cols:
         raise GaussFockError(
@@ -141,7 +141,7 @@ def encode_tensor(F: FockTensor, threshold: float = 0.0) -> dict:
 def decode_tensor(obj: Any) -> FockTensor:
     _expect_keys(obj, ("dim", "cutoff", "entries"), "tensor dump")
     dim, cutoff = obj["dim"], obj["cutoff"]
-    if not (type(dim) is int and type(cutoff) is int):  # bools are ints too
+    if not (_is_count(dim) and _is_count(cutoff)):
         raise GaussFockError("tensor dim and cutoff must be ints")
     b = _basis(dim, cutoff)
     coeffs = {}
@@ -150,8 +150,7 @@ def decode_tensor(obj: Any) -> FockTensor:
                 or not isinstance(entry[0], list)):
             raise GaussFockError(f"bad tensor entry {entry!r}")
         m, z = entry
-        if len(m) != dim or not all(
-                isinstance(k, int) and 0 <= k <= cutoff for k in m):
+        if len(m) != dim or not all(_is_count(k) and k <= cutoff for k in m):
             raise GaussFockError(f"bad occupation index {m!r}")
         coeffs[tuple(m)] = decode_complex(z)
     if any(sum(m) > cutoff and z != 0 for m, z in coeffs.items()):
@@ -188,7 +187,12 @@ def _expect_keys(obj: Any, keys: tuple[str, ...], what: str) -> None:
         raise GaussFockError(f"{what} is missing keys {missing}")
 
 
+def _is_count(value: Any) -> bool:
+    """A nonnegative JSON int; a bool, though a Python int, is not one."""
+    return type(value) is int and value >= 0
+
+
 def _expect_dim(dim: Any, actual: int, what: str) -> None:
-    if not isinstance(dim, int) or dim != actual:
+    if not (_is_count(dim) and dim == actual):
         raise GaussFockError(
             f"{what} declares dim {dim!r} but carries size {actual}")

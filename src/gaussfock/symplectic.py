@@ -76,91 +76,77 @@ class SymplecticElement:
     @cached_property
     def log_det_abs_u(self) -> float:
         """log det|U| = 1/2 sum log(1 + s^2) over the singular values s of V,
-        computed once per element.
-
-        make_symplectic fills it from the SVD of V it validates with. U and
-        V are read-only, so the cached value cannot go stale.
+        computed once per element: make_symplectic and a compile fill it
+        from the SVD of V that _check_pairs takes. An element built by the
+        public constructor, as checks build deliberately wrong ones, takes
+        its own. U and V are read-only, so the cached value cannot go stale.
         """
-        return float(_log_det_abs_u(self.V))
+        return float(_log_det_abs_u(np.linalg.svd(self.V, compute_uv=False)))
 
 
-def _log_det_abs_u(V, s=None):
-    """log det|U| from V, for one matrix or a stack (..., d, d).
+def _log_det_abs_u(s):
+    """log det|U| from the singular values s of V, over the last axis.
 
-    s, if given, holds the singular values of V, from an SVD the caller
-    already took. The singular values of V keep their relative accuracy
-    where eig(I + VV+) loses the identity once ||V|| passes about 1e8.
+    The singular values of V keep their relative accuracy where
+    eig(I + VV+) loses the identity once ||V|| passes about 1e8. log1p(s^2)
+    is taken as log1p(t^2) + 2 log(max(s, 1e150) / 1e150), t = min(s, 1e150),
+    which is exact for s <= 1e150, good to 1e-300 past it, and never
+    overflows.
     """
-    if s is None:
-        s = np.linalg.svd(V, compute_uv=False)
-    return 0.5 * np.sum(np.log1p(s * s), axis=-1)
-
-
-def _constraint_squares(U, V):
-    """The squared Frobenius norms of the four constraint defects, stacked
-    on a new first axis (4, ...), over any leading batch axes of U and V."""
-    eye = np.eye(U.shape[-1])
-    Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
-
-    def squared_norm(A):
-        return np.add.reduce(np.square(np.abs(A)), axis=(-2, -1))
-
-    return np.array([
-        squared_norm(U @ mat_adjoint(U) - V @ mat_adjoint(V) - eye),
-        squared_norm(U @ Vt - V @ Ut),
-        squared_norm(mat_adjoint(U) @ U - Vt @ mat_conj(V) - eye),
-        squared_norm(Ut @ mat_conj(V) - mat_adjoint(V) @ U)])
+    t = np.minimum(s, 1e150)
+    big = np.maximum(s, 1e150) / 1e150
+    return 0.5 * np.sum(np.log1p(t * t) + 2.0 * np.log(big), axis=-1)
 
 
 @_quiet
-def _constraint_residual(U, V, s=None):
-    """Scaled residual of the group constraints, over any leading batch axes.
-
-    s, if given, holds the singular values of V, so that ||V|| needs no SVD
-    of its own; the residual is the same to the bit.
-
-    The square roots of _constraint_squares are scaled by (1 + ||U||^2) for
-    the Hermitian constraints and (1 + ||U|| ||V||) for the symmetry
-    constraints, so elements with large squeezing or an exactly vanishing V
-    are judged fairly. ||U||^2 is not measured but bounded below: as
-    UU+ = I + VV+ + E with E the first defect, Weyl's inequality gives
-    ||U||^2 >= 1 + ||V||^2 - ||E||_F (clamped at 0). Each scale is then at
-    most the measured one, so the check is at least as tight, and for a
-    residual r < 1/4 tighter by at most a factor 1/(1 - 4r). The largest of
-    the four is returned; a NaN, left by an overflow, propagates.
-    """
-    nv = operator_norm(V) if s is None else np.max(s, axis=-1, initial=0.0)
-    squares = _constraint_squares(U, V)
-    nu2 = np.maximum(1.0 + nv * nv - np.sqrt(squares[0]), 0.0)
-    herm_scale = 1.0 + nu2
-    sym_scale = 1.0 + np.sqrt(nu2) * nv
-    scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
-    return np.max(np.sqrt(squares) / scales, axis=0)
-
-
 def _check_pairs(U, V, tol=DEFAULT_TOL):
     """(residual, log det|U|) of one pair or a stack (..., d, d), or a
     ConstraintViolationError for the first pair whose residual is not at
-    most tol.
+    most tol: the one site that computes and decides the group constraints.
 
-    The scaled residual is _constraint_residual's, with ||U||^2 taken as
-    the Weyl bound 1 + ||V||^2 - ||UU+ - VV+ - I||_F, at most the measured
-    ||U||^2, so the check is at least as tight. One SVD of V gives both
-    ||V|| and log det|U|; no SVD of U is taken.
+    The residual is the largest Frobenius norm of the four constraint
+    defects, scaled by (1 + ||U||^2) for the Hermitian constraints and by
+    (1 + ||U|| ||V||) for the symmetry ones, so large squeezes and V = 0 are
+    judged fairly; a NaN fails. ||U||^2 is not measured but bounded below:
+    as UU+ = I + VV+ + E with E the first defect, Weyl's inequality gives
+    ||U||^2 >= 1 + ||V||^2 - ||E||_F (clamped at 0). Each scale is then at
+    most the measured one, so the check is at least as tight, and for a
+    residual r < 1/4 tighter by at most a factor 1/(1 - 4r). One SVD of V
+    gives both ||V|| and log det|U|; no SVD of U is taken. Each pair is
+    first divided by the power of two c with c <= hypot(1, ||V||) < 2c, and
+    I by c^2, so the products of a finite element stay finite and the
+    residual keeps every bit short of the subnormals.
     """
     s = np.linalg.svd(V, compute_uv=False)
-    residual = _constraint_residual(U, V, s)
+    nv = np.max(s, axis=-1, initial=0.0)
+    k = np.frexp(np.hypot(1.0, nv))[1] - 1
+    c = np.ldexp(1.0, k)[..., None, None]
+    U, V = U / c, V / c
+    nv = np.ldexp(nv, -k)
+    # 1/c^2, held at the least subnormal so that no scale is 0
+    one = np.ldexp(1.0, -np.minimum(2 * k, 1074))
+    eye = np.eye(U.shape[-1]) * one[..., None, None]
+    Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
+    defects = [U @ mat_adjoint(U) - V @ mat_adjoint(V) - eye,
+               U @ Vt - V @ Ut,
+               mat_adjoint(U) @ U - Vt @ mat_conj(V) - eye,
+               Ut @ mat_conj(V) - mat_adjoint(V) @ U]
+    norms = np.sqrt([np.add.reduce(np.square(np.abs(E)), axis=(-2, -1))
+                     for E in defects])
+    nu2 = np.maximum(one + nv * nv - norms[0], 0.0)
+    herm_scale = one + nu2
+    sym_scale = one + np.sqrt(nu2) * nv
+    scales = np.array([herm_scale, sym_scale, herm_scale, sym_scale])
+    residual = np.max(norms / scales, axis=0)
     _require(residual, tol, ConstraintViolationError,
              "symplectic constraints violated: scaled residual "
              "{residual:.3e} exceeds tol {tol:g}")
-    return residual, _log_det_abs_u(V, s)
+    return residual, _log_det_abs_u(s)
 
 
-def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
-    """Validate the group constraints by _check_pairs and build an element."""
-    U = as_matrix(U)
-    V = as_matrix(V, U.shape[0])
-    residual, log_det = _check_pairs(U, V, tol)
+def _element(U, V, residual, log_det) -> SymplecticElement:
+    """The element of a pair that _check_pairs passed with residual and
+    log_det; U and V are copied and made read-only."""
     U = U.copy()
     V = V.copy()
     U.flags.writeable = False
@@ -168,6 +154,13 @@ def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
     element = SymplecticElement(U, V, float(residual))
     element.__dict__["log_det_abs_u"] = float(log_det)
     return element
+
+
+def make_symplectic(U, V, tol: float = DEFAULT_TOL) -> SymplecticElement:
+    """Validate the group constraints by _check_pairs and build an element."""
+    U = as_matrix(U)
+    V = as_matrix(V, U.shape[0])
+    return _element(U, V, *_check_pairs(U, V, tol))
 
 
 def identity(dim: int) -> SymplecticElement:

@@ -402,15 +402,25 @@ class TestErrorOrder:
             InternalInconsistencyError,
             "multiplier modulus deviates from 1 by 2.296e-10")
 
-    def test_gate_constraints_come_before_finite_products(self):
-        # cosh 400 is finite but its square overflows, so the second
-        # gate's residual is NaN, and the product of both is not finite.
-        # Gate by gate, the gate's constraints fail first.
-        gates = circuits.parse("S(0, 354, 0)\nS(0, 400, 0)")
+    def test_gate_constraints_come_before_finite_products(self, monkeypatch):
+        # No parsed gate fails its constraints, so the builder is spoiled:
+        # it builds R(0, 0) as U = 2, whose residual is 3. The product of
+        # cosh 710 ~ 1.1e308 and 2 is not finite. Gate by gate, the gate's
+        # constraints fail first.
+        build = circuits._gate_arrays
+
+        def spoiled(gates, *args):
+            Ug, Vg, h = build(gates, *args)
+            Ug[Ug[:, 0, 0] == 1.0] *= 2.0
+            return Ug, Vg, h
+
+        monkeypatch.setattr(circuits, "_gate_arrays", spoiled)
+        gates = circuits.parse("S(0, 710, 0)\nR(0, 0)")
         got = raised(circuits.compile_circuit, gates, 1)
         assert got == raised(reference_fold, gates, 1)
         assert got == (ConstraintViolationError, "symplectic constraints "
-                       "violated: scaled residual nan exceeds tol 1e-10")
+                       "violated: scaled residual 3.000e+00 exceeds tol "
+                       "1e-10")
 
 
 def lapack_calls(monkeypatch, gates, names):
@@ -429,18 +439,18 @@ def lapack_calls(monkeypatch, gates, names):
 class TestCallBudget:
     def test_svd_calls_of_a_compile(self, monkeypatch):
         # Two stacked SVDs: V of the gates and V of the products, each
-        # giving ||V|| and log det|U|. Then V of the final product in
-        # make_symplectic. No SVD of U is taken.
+        # giving ||V|| and log det|U|. The result is the last product,
+        # already checked, so no SVD of it alone is taken, nor any of U.
         calls = lapack_calls(monkeypatch, long_circuit(150), ("svd",))
-        assert sorted(len(shape) for _, shape in calls) == [2, 3, 3]
+        assert sorted(len(shape) for _, shape in calls) == [3, 3]
 
     def test_svd_calls_of_a_long_compile(self, monkeypatch):
-        # The same three SVDs, although from the 679th symplectic gate on
+        # The same two SVDs, although from the 679th symplectic gate on
         # (||U|| about 400) the products' unscaled defects exceed the
         # tolerance.
         calls = lapack_calls(monkeypatch, long_circuit(1000), ("svd",))
         stacks = [shape[0] for _, shape in calls if len(shape) == 3]
-        assert sorted(len(shape) for _, shape in calls) == [2, 3, 3]
+        assert sorted(len(shape) for _, shape in calls) == [3, 3]
         n_gates, n_products = stacks
         assert n_products == n_gates + 1
 

@@ -72,6 +72,17 @@ class TestOverlap:
         assert code == 0
         assert out.startswith("overlap = +1.0")
 
+    def test_boolean_dim_is_input_error(self, tmp_path, capsys):
+        # True was read as dim 1
+        obj = ser.encode_state(states.vacuum(1))
+        obj["dim"] = True
+        pa = write(tmp_path, "a.json", obj)
+        code, _, err = run_cli(capsys, ["overlap", "--state-a", pa,
+                                        "--state-b", pa])
+        assert code == 2
+        assert err == ("error: state declares dim True but carries size "
+                       "1\n")
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["overlap",
                                         "--state-a", str(tmp_path / "no.json"),
@@ -344,6 +355,21 @@ class TestTakagi:
         F = ser.decode_matrix(payload["F"])
         alphas = np.array(payload["alphas"])
         assert np.linalg.norm(A - F @ np.diag(alphas) @ F.T) < 1e-10
+
+    # a bool size raised numpy's TypeError, a size of -1 numpy's
+    # ValueError, and [true, false] was read as 1 + 0j
+    @pytest.mark.parametrize("rows, cols, entry, message", [
+        (True, 1, [1.0, 0.0], "matrix rows/cols must be ints, data an array"),
+        (-1, -1, [1.0, 0.0], "matrix rows/cols must be ints, data an array"),
+        (1, 1, [True, False], "expected [re, im], got [True, False]"),
+    ])
+    def test_malformed_matrix_is_input_error(self, tmp_path, capsys, rows,
+                                             cols, entry, message):
+        pa = write(tmp_path, "a.json",
+                   {"rows": rows, "cols": cols, "data": [entry]})
+        code, _, err = run_cli(capsys, ["takagi", "--matrix", pa])
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_non_symmetric_rejected(self, tmp_path, capsys):
         pa = write(tmp_path, "a.json",

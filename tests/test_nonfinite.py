@@ -46,22 +46,56 @@ def test_nonfinite_input_raises_typed_error(name):
         CASES[name]()
 
 
-def _assert_constraint_residual_refused(V, residual):
-    # finite entries whose constraint products overflow: the scaled
+def _assert_constraint_residual_refused(U, V, residual):
+    # finite entries whose constraint check overflows: the scaled
     # residual is inf or NaN, which must not pass as at most tol, and
     # numpy's overflow warning must not leak first
     with pytest.raises(ConstraintViolationError) as err:
-        sp.make_symplectic([[1e200]], [[V]])
+        sp.make_symplectic(U, V)
     assert str(err.value) == ("symplectic constraints violated: scaled "
                               f"residual {residual} exceeds tol 1e-10")
 
 
 def test_overflowing_constraint_residual_is_refused():
-    _assert_constraint_residual_refused(0.0, "inf")
+    _assert_constraint_residual_refused([[1e200]], [[0.0]], "inf")
 
 
 def test_overflowing_constraint_residual_nan_is_refused():
-    _assert_constraint_residual_refused(1e200, "nan")
+    # ||V|| = 2e308 itself overflows float64
+    _assert_constraint_residual_refused(np.full((2, 2), 1e308),
+                                        np.full((2, 2), 1e308), "nan")
+
+
+# Finite elements whose constraint products overflow float64 unless the
+# check scales each pair first: each was refused with a NaN residual.
+LARGE_BUILDS = {
+    "squeeze 356": lambda: sp.squeeze([[356.0]]),
+    "squeeze 400": lambda: sp.squeeze([[400.0]]),
+    "squeeze 700": lambda: sp.squeeze([[700.0]]),
+    "1e200 pair": lambda: sp.make_symplectic([[1e200]], [[1e200]]),
+    "random_element": lambda: sp.random_element(
+        2, np.random.default_rng(0), squeeze_scale=800.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BUILDS))
+def test_large_finite_element_builds(name):
+    r = LARGE_BUILDS[name]()
+    assert r.validation_residual <= sp.DEFAULT_TOL
+    assert np.isfinite(sp.log_det_abs_u(r))
+
+
+@pytest.mark.parametrize("a", [356.0, 400.0, 700.0])
+def test_large_squeeze_log_det_is_log_cosh(a):
+    # log cosh a = a - log 2 + log1p(e^{-2a}); the last term is below the
+    # last digit
+    assert sp.log_det_abs_u(sp.squeeze([[a]])) == a - np.log(2.0)
+
+
+def test_large_squeeze_acts_by_a_typed_error():
+    # tanh 356 rounds to 1, so the vacuum's image is not in the open disc
+    with pytest.raises(NotInDiscError):
+        rep.act(sp.squeeze([[356.0]]), states.vacuum(1))
 
 
 # Finite arguments whose element overflows float64 while it is built: each
@@ -73,7 +107,7 @@ OVERFLOWING_BUILDS = {
                 "^matrix entries must be finite$"),
     "compose 400": (lambda: sp.compose(sp.squeeze([[400.0]]),
                                        sp.squeeze([[400.0]])),
-                    ConstraintViolationError, "scaled residual nan"),
+                    GaussFockError, "^matrix entries must be finite$"),
     # squeeze(355.5) passes its check, but (U, V) o (U, V) overflows
     "compose 355.5": (lambda: sp.compose(sp.squeeze([[355.5]]),
                                          sp.squeeze([[355.5]])),
@@ -82,8 +116,8 @@ OVERFLOWING_BUILDS = {
         sp.squeeze([[355.5]]), [1.0], 0.7), GaussFockError,
         "^matrix entries must be finite$"),
     "random_element": (lambda: sp.random_element(
-        2, np.random.default_rng(0), squeeze_scale=800.0),
-        ConstraintViolationError, "scaled residual nan"),
+        2, np.random.default_rng(0), squeeze_scale=1000.0),
+        GaussFockError, "^matrix entries must be finite$"),
 }
 
 

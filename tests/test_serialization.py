@@ -167,6 +167,13 @@ class TestTensor:
         with pytest.raises(GaussFockError, match="must be ints"):
             ser.decode_tensor(obj)
 
+    def test_boolean_occupation_index_rejected(self):
+        # [true] was read as the index (1,)
+        obj = {"dim": 1, "cutoff": 2, "entries": [[[True], [1.0, 0.0]]]}
+        with pytest.raises(GaussFockError,
+                           match=r"^bad occupation index \[True\]$"):
+            ser.decode_tensor(obj)
+
     def test_size_guard_runs_before_allocation(self):
         # the (21,)^9 grid would take 11.6 TiB
         obj = {"dim": 9, "cutoff": 20, "entries": []}

@@ -165,8 +165,9 @@ class TestLogDetAbsU:
             assert sp.log_det_abs_u(r) == float(0.5 * np.sum(np.log1p(s * s)))
 
     def test_computed_once_per_element(self, monkeypatch):
-        # make_symplectic takes one SVD, of V, which gives both ||V|| and
-        # log det|U|; reading it takes none.
+        # make_symplectic takes one SVD, of V in _check_pairs, which gives
+        # both ||V|| and log det|U|; reading it takes none. An element
+        # built by its constructor takes its own SVD, once.
         r = sp.random_element(3, rng)
         calls = []
         svd = np.linalg.svd
@@ -177,7 +178,10 @@ class TestLogDetAbsU:
         first = sp.log_det_abs_u(again)
         assert sp.log_det_abs_u(again) == first == again.log_det_abs_u
         assert len(calls) == 1
-        assert first == sp._log_det_abs_u(r.V)
+        direct = sp.SymplecticElement(r.U, r.V, 0.0)
+        assert direct.log_det_abs_u == direct.log_det_abs_u == first
+        assert len(calls) == 2
+        assert first == sp._log_det_abs_u(svd(r.V, compute_uv=False))
 
     def test_finite_next_to_a_large_squeeze(self):
         # ||V|| = sinh(20) ~ 2.4e8: eig(I + VV+) lost the identity and gave
@@ -201,7 +205,7 @@ class TestLogDetAbsU:
 
 
 class TestOneKernel:
-    """make_symplectic and log det|U| run the stacked kernels' entries."""
+    """make_symplectic and a compile read the entries of one _check_pairs."""
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_stack_entries_equal_single_elements(self, d):
@@ -209,25 +213,22 @@ class TestOneKernel:
         elements = [sp.random_element(d, kernel_rng) for _ in range(50)]
         U = np.array([r.U for r in elements])
         V = np.array([r.V for r in elements])
-        residuals = sp._constraint_residual(U, V)
-        log_dets = sp._log_det_abs_u(V)
+        residuals, log_dets = sp._check_pairs(U, V)
         for k, r in enumerate(elements):
+            residual, log_det = sp._check_pairs(r.U, r.V)
+            assert residual == residuals[k]
+            assert log_det == log_dets[k]
             again = sp.make_symplectic(r.U, r.V)
             assert again.validation_residual == residuals[k]
             assert sp.log_det_abs_u(again) == log_dets[k]
 
     @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_handed_in_singular_values_change_no_bit(self, d):
+    def test_directly_built_element_computes_its_log_det(self, d):
         kernel_rng = np.random.default_rng(500 + d)
-        elements = [sp.random_element(d, kernel_rng) for _ in range(50)]
-        U = np.array([r.U for r in elements])
-        V = np.array([r.V for r in elements])
-        s = np.linalg.svd(V, compute_uv=False)
-        assert np.array_equal(sp._constraint_residual(U, V, s),
-                              sp._constraint_residual(U, V))
-        assert np.array_equal(sp._log_det_abs_u(V, s), sp._log_det_abs_u(V))
-        for r in elements:
-            assert r.log_det_abs_u == sp._log_det_abs_u(r.V)
+        for _ in range(50):
+            r = sp.random_element(d, kernel_rng)
+            s = np.linalg.svd(r.V, compute_uv=False)
+            assert r.log_det_abs_u == sp._log_det_abs_u(s)
             assert (sp.SymplecticElement(r.U, r.V, 0.0).log_det_abs_u
                     == r.log_det_abs_u)
 
@@ -249,25 +250,51 @@ def running_products(n_gates):
     return np.array(PU), np.array(PV)
 
 
+def checked_residual(U, V):
+    """_check_pairs' residual of each pair of a stack, read from the error
+    it raises where the pair fails."""
+    residuals = []
+    for u, v in zip(U, V):
+        try:
+            residuals.append(sp._check_pairs(u, v)[0])
+        except ConstraintViolationError as exc:
+            residuals.append(exc.residual)
+    return np.array(residuals)
+
+
 def measured_residual(U, V):
     """The scaled residual with ||U|| measured by an SVD of U, entry by
-    entry: the reference that _constraint_residual's Weyl bound for
-    ||U||^2 must never loosen."""
+    entry, with the four defects spelled out: the reference that
+    _check_pairs' Weyl bound for ||U||^2 must never loosen. U and V are
+    divided by the power of two 2^j <= max(1, ||U||), and I by 4^j, so no
+    product of a finite pair overflows; a power of two changes no bit."""
     nu, nv = operator_norm(U), operator_norm(V)
-    herm, sym = 1.0 + nu * nu, 1.0 + nu * nv
-    scales = np.array([herm, sym, herm, sym])
-    return np.max(np.sqrt(sp._constraint_squares(U, V)) / scales, axis=0)
+    j = np.frexp(np.maximum(nu, 1.0))[1] - 1
+    c = np.ldexp(1.0, j)[..., None, None]
+    U, V = U / c, V / c
+    nu, nv = np.ldexp(nu, -j), np.ldexp(nv, -j)
+    one = np.ldexp(1.0, -2 * j)
+    eye = np.eye(U.shape[-1]) * one[..., None, None]
+    Ut, Vt = U.swapaxes(-1, -2), V.swapaxes(-1, -2)
+    defects = [U @ mat_adjoint(U) - V @ mat_adjoint(V) - eye,
+               U @ Vt - V @ Ut,
+               mat_adjoint(U) @ U - Vt @ mat_conj(V) - eye,
+               Ut @ mat_conj(V) - mat_adjoint(V) @ U]
+    norms = np.sqrt([np.add.reduce(np.square(np.abs(E)), axis=(-2, -1))
+                     for E in defects])
+    herm, sym = one + nu * nu, one + nu * nv
+    return np.max(norms / np.array([herm, sym, herm, sym]), axis=0)
 
 
 class TestConstraintDecision:
-    """_constraint_residual, which bounds ||U||^2 from below by
+    """_check_pairs, which bounds ||U||^2 from below by
     1 + ||V||^2 - ||UU+ - VV+ - I||_F, decides as the residual with a
     measured ||U|| does, and is never smaller."""
 
     @staticmethod
     def assert_at_least_as_tight(U, V):
+        got = checked_residual(U, V)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = sp._constraint_residual(U, V)
             want = measured_residual(U, V)
         hold = got <= sp.DEFAULT_TOL
         assert np.array_equal(hold, want <= sp.DEFAULT_TOL)
@@ -291,11 +318,14 @@ class TestConstraintDecision:
         size = 10.0 ** gen.uniform(-13, -7, size=len(U))[:, None, None]
         U = U + size * (gen.normal(size=U.shape)
                         + 1j * gen.normal(size=U.shape))
-        # products that overflow: to inf, and to inf - inf = NaN
+        # entries far past the rest: a lone huge entry of U or of V spoils
+        # its pair, and the same huge entry in both leaves a pair that
+        # holds to about 1e-200 of its scale
         U[7, 0, 0] = V[11, 0, 0] = 1e300
         U[13, 0, 0] = V[13, 0, 0] = 1e200
         hold, finite = self.assert_at_least_as_tight(U, V)
-        assert not finite[[7, 11, 13]].any()
+        assert not hold[[7, 11]].any()
+        assert hold[13] and finite[13]
         assert hold.any()
         assert (~hold).sum() > 3
 
@@ -309,13 +339,15 @@ class TestConstraintDecision:
         assert not hold.any()
 
     def test_overflowing_norm_of_v_is_refused(self):
-        # ||V||^2 and the first defect overflow, so the Weyl bound is
-        # 1 + inf - inf = NaN, which must not pass.
-        U, V = np.ones((1, 1, 1)), np.full((1, 1, 1), 1.5e154)
-        with np.errstate(over="ignore"):
-            assert not sp._constraint_residual(U, V)[0] <= sp.DEFAULT_TOL
-            with pytest.raises(ConstraintViolationError):
-                sp.make_symplectic(U[0], V[0])
+        # ||V||^2 overflows float64. Scaled by about 1/||V||, the Weyl bound
+        # is 0 and 1/c^2 underflows, so the first defect's scale is at the
+        # floor and the residual overflows to inf, which must not pass.
+        U, V = np.ones((1, 1)), np.full((1, 1), 1.5e154)
+        with pytest.raises(ConstraintViolationError) as err:
+            sp._check_pairs(U, V)
+        assert err.value.residual == np.inf
+        with pytest.raises(ConstraintViolationError):
+            sp.make_symplectic(U, V)
 
 
 class TestPolarFactorization:
