@@ -25,30 +25,29 @@ as rows. It folds the running products (U3, V3) = Ug (U1, V1) +
 Vg (V1~, U1~) with one (2, d, d) update per gate, keeping every product,
 and runs each check once over the whole stack, with the formulas and
 decisions of the single-element routes: the constraints and log det|U| of
-every gate and every product, by symplectic._check_pairs, the very check
-make_symplectic runs, and the multiplier of every gate with the product
-before it; the result is built from the last product's entry. The number
-of stacked checks does not grow with the circuit: two SVDs in all (V of
-the gates and V of the products, each giving both ||V|| and log det|U|),
-two stacked solves and one stacked eigvals for the multiplier. The
-multiplier's ||M||, which only scales a pass/fail test, is taken only if
-||M||_F does not clear its floor.
-Loading a SYMP file, once per compile, adds the one SVD of its own
-make_symplectic. The phase and displacement are then folded in gate order
-into one running vector. The result is byte for byte the gate-by-gate fold
-through compose and multiplier.
+every product, by symplectic._check_pairs, the very check make_symplectic
+runs, and the multiplier of every gate with the product before it; the
+result is built from the last product's entry. No gate is decided again:
+S, BS and R are group elements by construction, and a SYMP file was
+decided by its own make_symplectic as it loaded, once per compile, so the
+gates' SVD of V gives only their log det|U|. Two SVDs in all, two stacked
+solves and one stacked eigvals serve any circuit length. The multiplier's
+||M||, which only scales a pass/fail test, is taken only if ||M||_F does
+not clear its floor. The phase and displacement are then folded in gate
+order into one running vector. The result is byte for byte the
+gate-by-gate fold through compose and multiplier.
 
 The checks run in the order of one gate's stages: build (mode range, SYMP
-file), finite gate entries, gate constraints, finite product entries,
-product constraints, multiplier, finite displacement into the gate and
-finite D shift. A failing pass may raise for a later gate at an earlier
-stage, so compile_circuit then bisects for the shortest failing prefix
-and raises its error, the first failure in (gate, stage) order. This is
-exact: each check decides every entry on its own and a non-finite
-displacement stays non-finite through later gates, so failure is
-monotone in prefix length; in the shortest failing prefix only the last
-gate fails, and the check order picks its first failing stage. After a
-pass, compile_circuit refuses a displacement or phase that overflowed.
+file), finite gate entries, finite product entries, product constraints,
+multiplier, finite displacement into the gate and finite D shift. A
+failing pass may raise for a later gate at an earlier stage, so
+compile_circuit then bisects for the shortest failing prefix and raises
+its error, the first failure in (gate, stage) order. This is exact: each
+check decides every entry on its own and a non-finite displacement stays
+non-finite through later gates, so failure is monotone in prefix length;
+in the shortest failing prefix only the last gate fails, and the check
+order picks its first failing stage. After a pass, compile_circuit
+refuses a displacement or phase that overflowed.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from .representation import _multiplier, act
 from .serialization import decode_symplectic, load_json
 from .states import UltracoherentState, make_state, vacuum, weyl_apply
 from .symplectic import (SymplecticElement, _check_pairs, _element,
-                         make_symplectic)
+                         _log_det_abs_u, make_symplectic)
 
 __all__ = [
     "Gate",
@@ -207,7 +206,7 @@ def _check_modes(gate: Gate, dim: int) -> None:
 @_quiet
 def _gate_arrays(gates: list[Gate], dim: int, base_dir: str, loaded: dict
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gates as arrays, each in gate order, not yet validated.
+    """The gates as arrays, each in gate order, not yet checked finite.
 
     Returns the (n, d, d) stacks Ug, Vg of the symplectic gates and the
     (m, d) shifts of the D gates. The entries of every S, BS and R gate,
@@ -278,8 +277,8 @@ def _gate_arrays(gates: list[Gate], dim: int, base_dir: str, loaded: dict
 def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
                   loaded: dict) -> CompiledCircuit:
     """The fold over (n, d, d) stacks, its checks in the order of one gate's
-    stages; any failure raises a GaussFockError. loaded is _gate_arrays'
-    memo of SYMP elements."""
+    stages, no gate's constraints among them; any failure raises a
+    GaussFockError. loaded is _gate_arrays' memo of SYMP elements."""
     Ug, Vg, hd = _gate_arrays(gates, dim, base_dir, loaded)
     n = len(Ug)
     # P[k] = (U, V) of the product of the first k gates.
@@ -290,7 +289,7 @@ def _stacked_pass(gates: list[Gate], dim: int, base_dir: str,
         np.add(ug @ p, vg @ np.conj(p[::-1]), out=P[k + 1])
     PU, PV = P[:, 0], P[:, 1]
     _require_finite("matrix", Ug, Vg)
-    _, log_det_g = _check_pairs(Ug, Vg)
+    log_det_g = _log_det_abs_u(np.linalg.svd(Vg, compute_uv=False))
     _require_finite("matrix", P)
     # P[0], the identity, passes with residual 0.
     res_p, log_det_p = _check_pairs(PU, PV)

@@ -104,10 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, text_lines: list[str], fmt: str | None) -> None:
+def _emit(payload: dict, lines: list[str], fmt: str | None,
+          body: dict | None = None) -> None:
+    """Print payload as JSON, or the lines and then body as JSON in text."""
     if fmt == "text":
-        print("\n".join(text_lines))
-    else:
+        print("\n".join(lines))
+        payload = body
+    if payload is not None:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
 
@@ -146,9 +149,7 @@ def _cmd_apply(args) -> int:
     x = ser.decode_state(ser.load_json(args.state))
     y = rep.act(r, x)
     payload = ser.encode_state(y)
-    lines = ["output state:",
-             json.dumps(payload, indent=2)]
-    _emit(payload, lines, args.format)
+    _emit(payload, ["output state:"], args.format, payload)
     return 0
 
 
@@ -160,9 +161,8 @@ def _cmd_compose(args) -> int:
     payload = {"product": ser.encode_symplectic(prod),
                "multiplier": ser.encode_complex(chi)}
     lines = [f"multiplier = {chi.real:+.12e} {chi.imag:+.12e}j",
-             "product element:",
-             json.dumps(ser.encode_symplectic(prod), indent=2)]
-    _emit(payload, lines, args.format)
+             "product element:"]
+    _emit(payload, lines, args.format, payload["product"])
     return 0
 
 
@@ -181,12 +181,12 @@ def _cmd_run(args) -> int:
             "element": ser.encode_symplectic(cc.element),
             "log_phase": ser.encode_complex(cc.log_phase),
         }
-        lines = ["compiled normal form:", json.dumps(payload, indent=2)]
+        header = "compiled normal form:"
     else:
         out = circuits.run(gates, args.dim, base_dir=base)
         payload = ser.encode_state(out)
-        lines = ["output state:", json.dumps(payload, indent=2)]
-    _emit(payload, lines, args.format)
+        header = "output state:"
+    _emit(payload, [header], args.format, payload)
     return 0
 
 
@@ -226,8 +226,8 @@ def _cmd_takagi(args) -> int:
                "residual": resid}
     lines = [f"alphas = {', '.join(f'{a:.12g}' for a in alphas)}",
              f"reconstruction residual = {resid:.3e}",
-             "factor F:", json.dumps(ser.encode_matrix(F), indent=2)]
-    _emit(payload, lines, args.format)
+             "factor F:"]
+    _emit(payload, lines, args.format, payload["F"])
     return 0
 
 
@@ -238,9 +238,8 @@ def _cmd_demo_free_field(args) -> int:
         raise GaussFockError("spectrum must be a real vector")
     element = sp.conjugated_free_field(r, raw.real, args.t, tol=args.tol)
     payload = ser.encode_symplectic(element)
-    lines = [f"conjugated free-field element at t = {args.t}:",
-             json.dumps(payload, indent=2)]
-    _emit(payload, lines, args.format)
+    header = f"conjugated free-field element at t = {args.t}:"
+    _emit(payload, [header], args.format, payload)
     return 0
 
 

@@ -168,7 +168,7 @@ def test_group_constraints_are_decided_at_one_site():
                if module == "circuits" and isinstance(node, ast.ImportFrom)
                and node.module == "symplectic"
                for alias in node.names if alias.name.startswith("_")]
-    assert private == ["_check_pairs", "_element"]
+    assert private == ["_check_pairs", "_element", "_log_det_abs_u"]
 
 
 def test_overflow_policy_has_one_site_each():

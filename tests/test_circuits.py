@@ -10,7 +10,6 @@ from gaussfock import circuits, representation as rep, states, verify
 from gaussfock import symplectic as sp
 from gaussfock.errors import (
     CircuitSyntaxError,
-    ConstraintViolationError,
     DimensionMismatchError,
     GaussFockError,
     InternalInconsistencyError,
@@ -284,7 +283,7 @@ class TestStackEdges:
             gates + [inverse_gate(g) for g in reversed(gates)], 4)
 
     def test_only_passive_gates(self):
-        # every V is 0, so the stacked pass takes no SVD of the gates' V
+        # every V is 0, so every gate's log det|U| is 0
         gates = passive_gates(np.random.default_rng(79), 3, 60)
         assert_matches_reference(gates, 3)
 
@@ -402,26 +401,6 @@ class TestErrorOrder:
             InternalInconsistencyError,
             "multiplier modulus deviates from 1 by 2.296e-10")
 
-    def test_gate_constraints_come_before_finite_products(self, monkeypatch):
-        # No parsed gate fails its constraints, so the builder is spoiled:
-        # it builds R(0, 0) as U = 2, whose residual is 3. The product of
-        # cosh 710 ~ 1.1e308 and 2 is not finite. Gate by gate, the gate's
-        # constraints fail first.
-        build = circuits._gate_arrays
-
-        def spoiled(gates, *args):
-            Ug, Vg, h = build(gates, *args)
-            Ug[Ug[:, 0, 0] == 1.0] *= 2.0
-            return Ug, Vg, h
-
-        monkeypatch.setattr(circuits, "_gate_arrays", spoiled)
-        gates = circuits.parse("S(0, 710, 0)\nR(0, 0)")
-        got = raised(circuits.compile_circuit, gates, 1)
-        assert got == raised(reference_fold, gates, 1)
-        assert got == (ConstraintViolationError, "symplectic constraints "
-                       "violated: scaled residual 3.000e+00 exceeds tol "
-                       "1e-10")
-
 
 def lapack_calls(monkeypatch, gates, names):
     """(name, shape of the input) of each np.linalg call a compile makes."""
@@ -438,9 +417,10 @@ def lapack_calls(monkeypatch, gates, names):
 
 class TestCallBudget:
     def test_svd_calls_of_a_compile(self, monkeypatch):
-        # Two stacked SVDs: V of the gates and V of the products, each
-        # giving ||V|| and log det|U|. The result is the last product,
-        # already checked, so no SVD of it alone is taken, nor any of U.
+        # Two stacked SVDs: V of the gates, giving log det|U|, and V of the
+        # products, giving ||V|| and log det|U|. The result is the last
+        # product, already checked, so no SVD of it alone is taken, nor any
+        # of U.
         calls = lapack_calls(monkeypatch, long_circuit(150), ("svd",))
         assert sorted(len(shape) for _, shape in calls) == [3, 3]
 
@@ -453,6 +433,27 @@ class TestCallBudget:
         assert sorted(len(shape) for _, shape in calls) == [3, 3]
         n_gates, n_products = stacks
         assert n_products == n_gates + 1
+
+    def test_each_pair_is_decided_once(self, monkeypatch, tmp_path):
+        # The SYMP element's constraints are decided as its file loads and
+        # the products' in one stack; no gate is decided again.
+        path = str(tmp_path / "r.json")
+        dump_json(encode_symplectic(
+            sp.random_element(4, np.random.default_rng(84))), path)
+        gates = long_circuit(150)
+        gates.insert(75, circuits.Gate("SYMP", (), (), path))
+        shapes = []
+        real = sp._check_pairs
+
+        def counted(U, V, *args):
+            shapes.append(np.shape(U))
+            return real(U, V, *args)
+
+        monkeypatch.setattr(sp, "_check_pairs", counted)
+        monkeypatch.setattr(circuits, "_check_pairs", counted)
+        circuits.compile_circuit(gates, 4)
+        n_products = sum(g.kind != "D" for g in gates) + 1
+        assert shapes == [(4, 4), (n_products, 4, 4)]
 
     def test_multiplier_calls_of_a_compile(self, monkeypatch):
         # The stacked multiplier takes two solves and one eigvals.
@@ -513,6 +514,47 @@ class TestCallBudget:
         seq = circuits.run_sequential(gates, 2)
         assert loads == [path]
         assert states.state_residual(circuits.run(gates, 2), seq) < 1e-10
+
+
+class TestGatesAreGroupElements:
+    """The compile does not decide the gates' constraints, as every finite
+    S, R and BS gate is a group element by construction."""
+
+    # magnitudes from 0 to past the overflow of cosh r (r = 710.4 is finite)
+    SIZES = (0.0, 1e-300, 1e-8, 0.3, 1.0, 3.0, 20.0, 100.0, 355.0, 400.0,
+             700.0, 710.0, 710.4, 710.5, 800.0, 1e5, 1e300)
+
+    def sweep(self):
+        gen = np.random.default_rng(2029)
+        sizes = np.array(self.SIZES)
+
+        def param():
+            return float(gen.choice([-1.0, 1.0]) * gen.choice(sizes)
+                         * gen.choice([1.0, gen.uniform(0.5, 1.0)]))
+
+        gates = []
+        for k in range(3000):
+            kind = ("S", "R", "BS")[k % 3]
+            mode = int(gen.integers(0, 2))
+            modes = (mode, 1 - mode) if kind == "BS" else (mode,)
+            params = (param(),) if kind == "R" else (param(), param())
+            gates.append(circuits.Gate(kind, modes, params))
+        Ug, Vg, _ = circuits._gate_arrays(gates, 2, ".", {})
+        finite = np.isfinite(np.concatenate([Ug, Vg], axis=1)).all(
+            axis=(1, 2))
+        return gates, Ug, Vg, finite
+
+    def test_finite_gates_hold_their_constraints(self):
+        _, Ug, Vg, finite = self.sweep()
+        assert 2500 < finite.sum() < len(finite)
+        residuals, _ = sp._check_pairs(Ug[finite], Vg[finite])
+        assert residuals.max() <= 1e-14
+
+    def test_nonfinite_gates_are_refused(self):
+        gates, _, _, finite = self.sweep()
+        for k in np.flatnonzero(~finite):
+            assert raised(circuits.compile_circuit, gates[k:k + 1], 2) == (
+                GaussFockError, "matrix entries must be finite")
 
 
 class TestRun:

@@ -402,3 +402,65 @@ class TestDemo:
                                         "--t", "1.0"])
         assert code == 2
         assert "real" in err
+
+
+def text_inputs(tmp_path):
+    """Input files for the text-format tests, from their own generator."""
+    gen = np.random.default_rng(608)
+    A = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+    circuit = tmp_path / "c.txt"
+    circuit.write_text('S(0, 0.3, 0.1)\nD(1, 0.5, 0.2)\nSYMP("r.json")\n'
+                       'BS(0, 1, 0.4, 0.5)\n', encoding="utf-8")
+    return {
+        "r": write(tmp_path, "r.json",
+                   ser.encode_symplectic(sp.random_element(2, gen))),
+        "s": write(tmp_path, "s.json",
+                   ser.encode_symplectic(sp.random_element(2, gen))),
+        "x": write(tmp_path, "x.json",
+                   ser.encode_state(states.random_state(2, gen))),
+        "A": write(tmp_path, "A.json", ser.encode_matrix(A + A.T)),
+        "m": write(tmp_path, "m.json", ser.encode_vector(np.array([1.0, 2.5]))),
+        "c": str(circuit),
+    }
+
+
+def complex_text(pair):
+    return f"{pair[0]:+.12e} {pair[1]:+.12e}j"
+
+
+# argv, then the header lines and the JSON part that text mode prints,
+# each read from the JSON payload
+TEXT_FORMS = {
+    "apply": (["apply", "--symplectic", "{r}", "--state", "{x}"],
+              lambda p: (["output state:"], p)),
+    "compose": (["compose", "--a", "{r}", "--b", "{s}"],
+                lambda p: ([f"multiplier = {complex_text(p['multiplier'])}",
+                            "product element:"], p["product"])),
+    "run": (["run", "--circuit", "{c}", "--dim", "2"],
+            lambda p: (["output state:"], p)),
+    "run --normal-form": (["run", "--circuit", "{c}", "--dim", "2",
+                           "--normal-form"],
+                          lambda p: (["compiled normal form:"], p)),
+    "takagi": (["takagi", "--matrix", "{A}"],
+               lambda p: ([f"alphas = "
+                           f"{', '.join(f'{a:.12g}' for a in p['alphas'])}",
+                           f"reconstruction residual = {p['residual']:.3e}",
+                           "factor F:"], p["F"])),
+    "demo free-field": (["demo", "free-field", "--symplectic", "{r}",
+                         "--spectrum", "{m}", "--t", "0.8"],
+                        lambda p: (["conjugated free-field element at "
+                                    "t = 0.8:"], p)),
+}
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("form", sorted(TEXT_FORMS))
+    def test_header_lines_then_indented_json(self, tmp_path, capsys, form):
+        template, expected = TEXT_FORMS[form]
+        argv = [arg.format(**text_inputs(tmp_path)) for arg in template]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines, part = expected(json.loads(out))
+        code, text, _ = run_cli(capsys, argv + ["--format", "text"])
+        assert code == 0
+        assert text == "\n".join(lines + [json.dumps(part, indent=2)]) + "\n"
