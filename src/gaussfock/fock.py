@@ -9,27 +9,28 @@ coefficients c_m of sum_m c_m E_m, where E_m = e_1^{m_1} v ... v e_d^{m_d}
 and ||E_m||^2 = m! = prod(m_mu!), as one vector in that order. The dense
 (cutoff+1,)^dim grid is only its exchange format: the constructor takes it,
 and .coeffs builds it on first read. A FockOperator acts on the same
-vectors through one matrix A, as A or as exp(A). The package builds every A
-as a row table, each row a fixed number of entries at columns kept with the
-basis, so a build computes only their values: one routine for a+(f), a(f)
-and the generator a+(h) - a(h*) of the displacement W(h) of weyl, and gamma
-for Gamma(B), by degree blocks. exp(A) is the Chebyshev propagator
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). Only a read of
-.matrix makes a dense matrix; for W(h), it propagates the identity.
+vectors through one linear map A, applied as A @ vector. The package builds
+each A as a row table, each row a fixed number of entries at columns kept
+with the basis, so a build computes only their values: one routine for
+a+(f), a(f) and the generator G = a+(h) - a(h*) of the displacement W(h),
+and gamma for Gamma(B), by degree blocks. W(h) itself is _Exp(G, rho), the
+exponential of its generator's table by the Chebyshev propagator (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984)). Only a read of .matrix makes a
+dense matrix, A.toarray(); for W(h), it propagates the identity.
 
 The coefficients of exp(Omega(A)) v exp(f) obey the recurrence
 (m_mu + 1) c_{m + e_mu} = f_mu c_m + sum_nu A_{mu nu} c_{m - e_nu}
 (Miatto & Quesada, Quantum 4, 366 (2020)), run degree by degree on the flat
 basis from per-degree step tables of the basis: each degree is one gather of
 [f | A] by mu, one gather of the coefficients at the parent and its lower
-neighbours, and one einsum. Builds that may overflow run under
-errors._quiet, the package's one switch of numpy's error state, and every
-FockTensor and every .matrix read refuses an entry that overflows float64
-or is NaN with a GaussFockError. Gamma(B) builds each column from the
-column of its parent m - e_mu the same way. General products are exact
-convolutions, a shift-add over the nonzeros of the sparser factor: FFT
-noise of ~1e-16 in high-degree entries, under m! weights up to ~1e150,
-would swamp the inner products.
+neighbours, and one einsum. Builds and reductions that may overflow run
+under errors._quiet, the package's one switch of numpy's error state. Every
+FockTensor and every .matrix read refuses an entry, and every inner product
+and norm a value, that overflows float64 or is NaN with a GaussFockError.
+Gamma(B) builds each column from the column of its parent m - e_mu the same
+way. General products are exact convolutions, a shift-add over the nonzeros
+of the sparser factor: FFT noise of ~1e-16 in high-degree entries, under m!
+weights up to ~1e150, would swamp the inner products.
 """
 
 from __future__ import annotations
@@ -142,12 +143,11 @@ class FockTensor:
 class FockOperator:
     """Operator in the ordered occupation basis of basis_indices.
 
-    It holds one (B, B) matrix A, B the basis size: the row table of
-    _ladder or gamma, or a caller's dense matrix. It acts as A, or as exp(A)
-    when weyl sets _h, the h of W(h). .matrix is a dense A itself;
-    otherwise A.toarray(), or for W(h) the propagator applied to the
-    identity, computed on first read and kept. It refuses an entry that
-    overflowed float64 or is NaN.
+    It holds one (B, B) linear map A, B the basis size: the row table of
+    _ladder or gamma, the _Exp of weyl, or a caller's dense matrix, and acts
+    as A. .matrix is a dense A itself, otherwise A.toarray(), computed on
+    first read and kept. It refuses an entry that overflowed float64 or is
+    NaN.
     """
 
     def __init__(self, dim: int, cutoff: int, matrix):
@@ -159,7 +159,6 @@ class FockOperator:
         self.dim = dim
         self.cutoff = cutoff
         self._A = matrix
-        self._h = None
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -169,16 +168,16 @@ class FockOperator:
             if size * size > MAX_GRID_ENTRIES:
                 raise GaussFockError(f"dense operator of shape ({size}, "
                                      f"{size}) exceeds the size guard")
-            if self._h is None:
-                A = A.toarray()
-            else:
-                # W(h) on the identity, k columns per (size, w, k) gather
-                k = max(1, MAX_GRID_ENTRIES // A.vals.size)
-                A = np.hstack([_propagate(self, np.eye(
-                    size, min(k, size - j), -j, dtype=complex))
-                    for j in range(0, size, k)])
+            A = A.toarray()
         _require_finite("matrix", A)
         return A
+
+
+def _require_int(what: str, n) -> None:
+    """Refuse a bool or a non-integer dimension or cutoff; numpy integers
+    pass."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise GaussFockError(f"{what} must be an integer, got {n!r}")
 
 
 def _check_size(dim: int, cutoff: int) -> None:
@@ -287,8 +286,17 @@ class _Basis:
         return tuple(map(tuple, self.idx.tolist()))
 
 
-@lru_cache(maxsize=32)
 def _basis(dim: int, cutoff: int) -> _Basis:
+    """The flat basis, cached; dim and cutoff are refused before the cache
+    lookup unless integers, since 2.0 and True would find the entry of 2
+    and 1."""
+    _require_int("dimension", dim)
+    _require_int("cutoff", cutoff)
+    return _cached_basis(dim, cutoff)
+
+
+@lru_cache(maxsize=32)
+def _cached_basis(dim: int, cutoff: int) -> _Basis:
     _check_size(dim, cutoff)
     # grid keys in base cutoff+1 sort like the multi-indices they encode
     strides = (cutoff + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
@@ -376,28 +384,37 @@ def symmetric_product(F: FockTensor, G: FockTensor) -> FockTensor:
     return FockTensor._of(F.dim, F.cutoff, out)
 
 
+@_quiet
 def inner(F: FockTensor, G: FockTensor) -> complex:
     """(F|G) = sum_m m! conj(c_m) d_m, conjugate-linear in F."""
     b = _common(F, G)
-    return complex(np.sum(b.weight * np.conj(F.vector) * G.vector))
+    return _finite_value("Fock inner product", complex(
+        np.sum(b.weight * np.conj(F.vector) * G.vector)))
 
 
+@_quiet
 def tensor_norm(F: FockTensor) -> float:
     W = _basis(F.dim, F.cutoff).weight
-    return float(np.sqrt(np.sum(W * np.abs(F.vector) ** 2)))
+    return _finite_value("Fock norm", float(
+        np.sqrt(np.sum(W * np.abs(F.vector) ** 2))))
 
 
+@_quiet
 def degree_norms(F: FockTensor) -> np.ndarray:
     """Fock norms of the homogeneous components, indexed by degree."""
     b = _basis(F.dim, F.cutoff)
-    return np.sqrt(np.add.reduceat(b.weight * np.abs(F.vector) ** 2,
-                                   b.start[:-1]))
+    dn = np.sqrt(np.add.reduceat(b.weight * np.abs(F.vector) ** 2,
+                                 b.start[:-1]))
+    _finite_value("degree norm", dn.max())
+    return dn
 
 
+@_quiet
 def tensor_residual(F: FockTensor, G: FockTensor) -> float:
     """Fock norm of the difference."""
     b = _common(F, G)
-    return float(np.sqrt(np.sum(b.weight * np.abs(F.vector - G.vector) ** 2)))
+    return _finite_value("tensor residual", float(
+        np.sqrt(np.sum(b.weight * np.abs(F.vector - G.vector) ** 2))))
 
 
 @_quiet
@@ -473,47 +490,7 @@ def apply_operator(op: FockOperator, F: FockTensor) -> FockTensor:
     if op.dim != F.dim or op.cutoff != F.cutoff:
         raise DimensionMismatchError(
             "operator and tensor must share dimension and cutoff")
-    out = op._A @ F.vector if op._h is None else _propagate(op, F.vector)
-    return FockTensor._of(F.dim, F.cutoff, out)
-
-
-def _propagate(op: FockOperator, v: np.ndarray) -> np.ndarray:
-    """W(h) v, for the op of weyl and v a vector or a (size, k) block, by
-    the Chebyshev propagator of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967
-    (1984)). Its generator G = op._A is skew-Hermitian with norm at most
-    rho = 2 ||h|| sqrt(cutoff) in the orthonormal frame, where a+(h) maps
-    degree n to n + 1 with norm ||h|| sqrt(n + 1) and a(h*) is its adjoint;
-    at cutoff 0, G = 0. A rho above MAX_WEYL_RHO is refused.
-
-    With S = diag(sqrt(m!)) the vectors E_m / sqrt(m!) are orthonormal, so
-    H = -i S G S^-1 is Hermitian with ||H|| <= rho, exp(G) = S^-1 exp(iH) S,
-    and exp(i rho x) = J_0(rho) + 2 sum_k i^k J_k(rho) T_k(x) on [-1, 1]. S
-    commutes through each polynomial, S^-1 T_k(H / rho) S = T_k(-iG / rho),
-    so the series runs on G itself: u_k = i^k T_k(-iG / rho) v obeys
-    u_{k+1} = (2 / rho) G u_k + u_{k-1}, and
-    exp(G) v = J_0 u_0 + 2 sum_{k <= K} J_k u_k, one matvec per term of the
-    row table G with its values scaled once by 2 / rho. The terms dropped
-    beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53 times ||v|| in
-    the Fock norm (see _terms).
-    """
-    rho = (2.0 * math.sqrt(op.cutoff) * math.hypot(*np.abs(op._h))
-           if op.cutoff else 0.0)
-    _require(rho, MAX_WEYL_RHO, GaussFockError,
-             "Weyl action needs 2 |h| sqrt(cutoff) at most {tol:g}, "
-             "got {residual:.6g}")
-    J = _bessel(rho)
-    out = J[0] * v
-    if J.size == 1:
-        return out
-    step = _RowTable(op._A.cols, op._A.vals * (2.0 / rho))
-    prev, cur = v, 0.5 * (step @ v)
-    for c in 2.0 * J[1:-1]:
-        out += c * cur
-        nxt = step @ cur
-        nxt += prev
-        prev, cur = cur, nxt
-    out += 2.0 * J[-1] * cur
-    return out
+    return FockTensor._of(F.dim, F.cutoff, op._A @ F.vector)
 
 
 def _terms(rho: float, tol: float | np.ndarray):
@@ -586,6 +563,55 @@ class _RowTable:
         return flat[:-1].reshape(size, size)
 
 
+class _Exp:
+    """exp(G) for a _RowTable G, by the Chebyshev propagator of Tal-Ezer &
+    Kosloff (J. Chem. Phys. 81, 3967 (1984)). G must be skew-Hermitian with
+    norm at most rho in the orthonormal frame; its application refuses a rho
+    above MAX_WEYL_RHO.
+
+    With S = diag(sqrt(m!)) the vectors E_m / sqrt(m!) are orthonormal, so
+    H = -i S G S^-1 is Hermitian with ||H|| <= rho, exp(G) = S^-1 exp(iH) S,
+    and exp(i rho x) = J_0(rho) + 2 sum_k i^k J_k(rho) T_k(x) on [-1, 1]. S
+    commutes through each polynomial, S^-1 T_k(H / rho) S = T_k(-iG / rho),
+    so the series runs on G itself: u_k = i^k T_k(-iG / rho) v obeys
+    u_{k+1} = (2 / rho) G u_k + u_{k-1}, and
+    exp(G) v = J_0 u_0 + 2 sum_{k <= K} J_k u_k, one matvec per term of the
+    row table G with its values scaled once by 2 / rho. The terms dropped
+    beyond K weigh at most 2 sum_{j>K} |J_j(rho)| <= 2^-53 times ||v|| in
+    the Fock norm (see _terms).
+    """
+
+    def __init__(self, G: _RowTable, rho: float):
+        self.G, self.rho, self.shape = G, rho, G.shape
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """exp(G) v, for v a vector or a (size, k) block."""
+        _require(self.rho, MAX_WEYL_RHO, GaussFockError,
+                 "Weyl action needs 2 |h| sqrt(cutoff) at most {tol:g}, "
+                 "got {residual:.6g}")
+        J = _bessel(self.rho)
+        out = J[0] * v
+        if J.size == 1:
+            return out
+        step = _RowTable(self.G.cols, self.G.vals * (2.0 / self.rho))
+        prev, cur = v, 0.5 * (step @ v)
+        for c in 2.0 * J[1:-1]:
+            out += c * cur
+            nxt = step @ cur
+            nxt += prev
+            prev, cur = cur, nxt
+        out += 2.0 * J[-1] * cur
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """exp(G) on the identity, k columns per (size, w, k) gather."""
+        size = self.shape[0]
+        k = max(1, MAX_GRID_ENTRIES // self.G.vals.size)
+        return np.hstack([self @ np.eye(size, min(k, size - j), -j,
+                                        dtype=complex)
+                          for j in range(0, size, k)])
+
+
 @_quiet   # an entry that overflowed is refused in its action
 def _ladder(b: _Basis, raising, lowering) -> _RowTable:
     """Row table of a+(raising) + a(lowering); None leaves a half out.
@@ -652,24 +678,29 @@ def gamma(B, cutoff: int) -> FockOperator:
 def weyl(h, cutoff: int) -> FockOperator:
     """Displacement W(h) = exp(G) with G = a+(h) - a(h*) truncated.
 
-    The operator holds the row table of G. apply_operator computes W(h) v,
-    and .matrix, built on first read, W(h) on the identity, both by the
-    Chebyshev propagator of _propagate.
+    The operator holds _Exp(G, rho) with rho = 2 ||h|| sqrt(cutoff), the
+    norm bound of G in the orthonormal frame: a+(h) maps degree n to n + 1
+    with norm ||h|| sqrt(n + 1) and a(h*) is its adjoint; at cutoff 0, G = 0.
+    apply_operator computes W(h) v, and .matrix, built on first read, W(h) on
+    the identity.
     """
     h = as_vector(h)
     d = h.shape[0]
-    op = FockOperator(d, cutoff, _ladder(_basis(d, cutoff), h, -involution(h)))
-    op._h = h
-    return op
+    G = _ladder(_basis(d, cutoff), h, -involution(h))
+    rho = 2.0 * math.sqrt(cutoff) * math.hypot(*np.abs(h)) if cutoff else 0.0
+    return FockOperator(d, cutoff, _Exp(G, rho))
 
 
+@_quiet
 def alpha_norm(F: FockTensor, alpha: float) -> float:
-    """Weighted norm sqrt(sum_n alpha^{-2n} ||F_n||^2)."""
+    """Weighted norm sqrt(sum_n alpha^{-2n} ||F_n||^2); a zero component
+    contributes 0 even where alpha^-n overflows."""
     if not (alpha > 0):
         raise InvalidAlphaError("alpha must be strictly positive")
     dn = degree_norms(F)
     scale = np.power(float(alpha), -np.arange(F.cutoff + 1))
-    return float(np.linalg.norm(scale * dn))
+    return _finite_value("alpha norm", float(
+        np.linalg.norm(np.where(dn == 0, 0.0, scale * dn))))
 
 
 @_quiet   # a NaN or inf is refused later
@@ -721,8 +752,11 @@ def tail_bound(x: UltracoherentState, cutoff: int) -> float:
     g^{-n} is the degree-n component of Phi(Z/g^2, f/g), so the dropped mass
     is at most the geometric tail g^{cutoff+1} (1-g^2)^{-1/2} ||Phi(Z/g^2, f/g)||
     for any g in (sqrt||Z||, 1); the bound is minimized over a grid of g.
-    Zero for the vacuum.
+    Zero for the vacuum. The cutoff must be a nonnegative integer.
     """
+    _require_int("cutoff", cutoff)
+    if cutoff < 0:
+        raise GaussFockError("cutoff must be nonnegative")
     return math.exp(_log_tail_bounds(x, np.array([cutoff]))[0])
 
 

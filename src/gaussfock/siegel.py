@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InternalInconsistencyError,
     NotInDiscError,
     NotSymmetricError,
@@ -76,6 +77,10 @@ def origin(dim: int) -> SiegelPoint:
 
 def moebius(r: SymplecticElement, p: SiegelPoint) -> SiegelPoint:
     """Fractional-linear action of r on p, cross-checked in both forms."""
+    if r.dim != p.dim:
+        raise DimensionMismatchError(
+            f"element of dimension {r.dim} cannot act on a point of "
+            f"dimension {p.dim}")
     Z = p.Z
     U, V = r.U, r.V
     left = np.linalg.solve(

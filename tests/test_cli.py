@@ -114,6 +114,15 @@ class TestApply:
         assert code == 2
         assert "constraints" in err
 
+    def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        pr = write(tmp_path, "r.json", ser.encode_symplectic(sp.identity(2)))
+        px = write(tmp_path, "x.json", ser.encode_state(states.vacuum(1)))
+        code, out, err = run_cli(capsys, ["apply", "--symplectic", pr,
+                                          "--state", px])
+        assert code == 2 and out == ""
+        assert err == ("error: element of dimension 2 cannot act on a point "
+                       "of dimension 1\n")
+
 
 class TestCompose:
     def test_product_and_multiplier(self, tmp_path, capsys):

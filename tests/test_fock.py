@@ -73,6 +73,71 @@ class TestBasis:
             fock.apply_operator(fock.create([1.0], 3), fock.vacuum_tensor(1, 4))
 
 
+_X = states.random_state(1, np.random.default_rng(91))
+
+BUILDERS = {
+    "vacuum_tensor": lambda N: fock.vacuum_tensor(1, N),
+    "basis_indices": lambda N: fock.basis_indices(1, N),
+    "exp_vector": lambda N: fock.exp_vector([0.3], N),
+    "omega_tensor": lambda N: fock.omega_tensor([[0.3]], N),
+    "exp_omega": lambda N: fock.exp_omega([[0.3]], N),
+    "represent_state": lambda N: fock.represent_state(_X, N),
+    "create": lambda N: fock.create([0.3], N),
+    "annihilate": lambda N: fock.annihilate([0.3], N),
+    "gamma": lambda N: fock.gamma([[0.3]], N),
+    "weyl": lambda N: fock.weyl([0.3], N),
+}
+
+_CUTOFF_ERRORS = {
+    -1: "^cutoff must be nonnegative$",
+    171: "^cutoff 171 exceeds 170, the largest degree whose factorial "
+         "weight fits in float64$",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_take_integer_cutoffs_only(name):
+    # the basis cache would take 2.0 and True for 2 and 1, so a result
+    # depended on what ran before; each is refused before the lookup
+    build = BUILDERS[name]
+    for N, message in _CUTOFF_ERRORS.items():
+        with pytest.raises(GaussFockError, match=message) as err:
+            build(N)
+        assert type(err.value) is GaussFockError
+    fock.vacuum_tensor(1, 2)      # the cache entry that 2.0 would find
+    for N in (2.0, True):
+        with pytest.raises(GaussFockError, match="^cutoff must be an "
+                           "integer, got "):
+            build(N)
+    assert _value(build(np.int64(3))) == _value(build(3))
+
+
+def _value(built):
+    if isinstance(built, fock.FockTensor):
+        return built.vector.tobytes()
+    if isinstance(built, fock.FockOperator):
+        return built.matrix.tobytes()
+    return built
+
+
+@pytest.mark.parametrize("dim", [2.0, True, np.float64(1.0)])
+def test_dimensions_are_integers(dim):
+    with pytest.raises(GaussFockError, match="^dimension must be an integer"):
+        fock.vacuum_tensor(dim, 3)
+    with pytest.raises(GaussFockError, match="^dimension must be an integer"):
+        fock.basis_indices(dim, 3)
+
+
+@pytest.mark.parametrize("N", [-1, 2.5, 2.0, True])
+def test_tail_bound_takes_a_nonnegative_integer_cutoff(N):
+    with pytest.raises(GaussFockError, match="^cutoff must be"):
+        fock.tail_bound(_X, N)
+
+
+def test_tail_bound_takes_numpy_integers():
+    assert fock.tail_bound(_X, np.int64(3)) == fock.tail_bound(_X, 3)
+
+
 class TestSymmetricProduct:
     def test_vacuum_is_unit(self):
         F = fock.exp_vector(random_vec(2, 0.5), 8)

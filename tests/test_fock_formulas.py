@@ -157,7 +157,7 @@ def test_weyl_generator_and_matrix_match_dense_route(d, N):
         dense = (fock.create(h, N).matrix
                  - fock.annihilate(involution(h), N).matrix)
         w = fock.weyl(h, N)
-        assert np.array_equal(w._A.toarray(), dense)
+        assert np.array_equal(w._A.G.toarray(), dense)
         diff = s[:, None] * (w.matrix - scipy.linalg.expm(dense)) / s
         assert np.max(np.abs(diff)) <= 1e-14
 
@@ -186,6 +186,23 @@ def test_positional_operator_applies_its_matrix():
     want = m @ np.array([F.coeffs[i] for i in fock.basis_indices(d, N)])
     assert np.allclose([got.coeffs[i] for i in fock.basis_indices(d, N)],
                        want, rtol=0, atol=1e-13)
+
+
+def test_every_operator_acts_through_its_one_map():
+    # a row table, the exponential of one, or a caller's dense matrix: each
+    # operator is one linear map, and apply_operator applies it as A @ v
+    d, N = 2, 6
+    rng = np.random.default_rng(11)
+    h = _weyl_h(d, rng)
+    B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    size = len(fock.basis_indices(d, N))
+    m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    F = fock.represent_state(states.random_state(d, rng), N)
+    for op in (fock.create(h, N), fock.annihilate(h, N), fock.gamma(B, N),
+               fock.weyl(h, N), fock.FockOperator(d, N, m)):
+        assert not hasattr(op, "_h")
+        assert (fock.apply_operator(op, F).vector.tobytes()
+                == (op._A @ F.vector).tobytes())
 
 
 def test_operator_refuses_a_matrix_of_the_wrong_shape():
@@ -230,8 +247,9 @@ def _check_csr_column_order(table, size):
 def test_ladder_row_tables_keep_the_csr_column_order(d, N):
     h = _weyl_h(d, np.random.default_rng(d + N))
     size = len(fock.basis_indices(d, N))
-    for op in (fock.create(h, N), fock.annihilate(h, N), fock.weyl(h, N)):
-        _check_csr_column_order(op._A, size)
+    for table in (fock.create(h, N)._A, fock.annihilate(h, N)._A,
+                  fock.weyl(h, N)._A.G):
+        _check_csr_column_order(table, size)
 
 
 @pytest.mark.parametrize("d, N", _TABLE_SIZES)
@@ -265,7 +283,7 @@ def test_ladder_products_match_csr_bytes(d, N):
     size = len(fock.basis_indices(d, N))
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     for table in (fock.create(h, N)._A, fock.annihilate(h, N)._A,
-                  fock.weyl(h, N)._A):
+                  fock.weyl(h, N)._A.G):
         want = csr_array(table.toarray()) @ v
         assert (table @ v).tobytes() == want.tobytes()
 
@@ -423,12 +441,16 @@ def test_bessel_values_match_multiprecision(rho):
 @pytest.mark.parametrize("d, N", [(1, 70), (2, 26), (3, 11)])
 def test_scaled_generator_is_skew_hermitian_within_rho(d, N):
     # S G S^-1 with S = diag(sqrt(m!)): the frame in which the propagator's
-    # series converges, with norm at most rho = 2 |h| sqrt(N)
+    # series converges, with norm at most rho = 2 |h| sqrt(N), the bound
+    # that W(h) holds beside its generator
     h = _weyl_h(d, np.random.default_rng(5 + d))
     s = np.sqrt(fock._basis(d, N).weight)
-    H = s[:, None] * fock.weyl(h, N)._A.toarray() / s
+    w = fock.weyl(h, N)
+    H = s[:, None] * w._A.G.toarray() / s
     assert np.max(np.abs(H + H.conj().T)) <= 1e-15 * np.max(np.abs(H))
     assert np.linalg.norm(H, 2) <= 2 * np.linalg.norm(h) * np.sqrt(N)
+    assert w._A.rho == 2 * math.sqrt(N) * math.hypot(*np.abs(h))
+    assert np.linalg.norm(H, 2) <= w._A.rho
 
 
 @pytest.mark.parametrize("h, N", [([0.0], 9), ([0.0, 0.0, 0.0], 5),

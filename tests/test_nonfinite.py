@@ -304,6 +304,20 @@ OVERFLOWING_RESULTS = {
     "weyl matrix 1e200": (lambda: fock.weyl([1e200], 3).matrix,
                           r"^Weyl action needs 2 \|h\| sqrt\(cutoff\) at most "
                           r"4096, got 3\.4641e\+200$"),
+    # the oracle's reductions of a finite tensor: m! |c_m|^2 overflows
+    "inner": (lambda: fock.inner(fock.exp_vector([1e100], 3),
+                                 fock.exp_vector([1e100], 3)),
+              "^Fock inner product inf overflows float64$"),
+    "tensor_norm": (lambda: fock.tensor_norm(fock.exp_vector([1e100], 3)),
+                    "^Fock norm inf overflows float64$"),
+    "degree_norms": (lambda: fock.degree_norms(fock.exp_vector([1e100], 3)),
+                     "^degree norm inf overflows float64$"),
+    "tensor_residual": (lambda: fock.tensor_residual(
+        fock.exp_vector([1e100], 3), fock.vacuum_tensor(1, 3)),
+        "^tensor residual inf overflows float64$"),
+    # alpha^-n overflows from n = 103 on
+    "alpha_norm": (lambda: fock.alpha_norm(fock.exp_vector([1.0], 170), 1e-3),
+                   "^alpha norm inf overflows float64$"),
 }
 
 
@@ -312,3 +326,8 @@ def test_overflowing_result_is_refused(name):
     call, message = OVERFLOWING_RESULTS[name]
     with pytest.raises(GaussFockError, match=message):
         call()
+
+
+def test_alpha_norm_of_the_vacuum_is_one_where_alpha_powers_overflow():
+    # alpha^-n is inf from n = 103 on, and meets the zero components there
+    assert fock.alpha_norm(fock.vacuum_tensor(1, 170), 1e-3) == 1.0

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from gaussfock import siegel, symplectic as sp
+from gaussfock import representation as rep, siegel, states
+from gaussfock import symplectic as sp
 from gaussfock.errors import (
+    DimensionMismatchError,
     InternalInconsistencyError,
     NotInDiscError,
     NotSymmetricError,
@@ -45,6 +47,16 @@ class TestMoebius:
         p = siegel.random_point(3, rng)
         q = siegel.moebius(sp.identity(3), p)
         assert np.allclose(q.Z, p.Z, atol=1e-14)
+
+    def test_refuses_a_dimension_mismatch(self):
+        # before any product: numpy's own ValueError came back otherwise
+        with pytest.raises(DimensionMismatchError, match="^element of "
+                           "dimension 2 cannot act on a point of dimension "
+                           "1$"):
+            siegel.moebius(sp.identity(2), siegel.origin(1))
+        for act in (rep.act, rep.adjoint_act):
+            with pytest.raises(DimensionMismatchError):
+                act(sp.identity(2), states.vacuum(1))
 
     def test_both_matrix_forms_agree(self):
         # the action has a left-quotient and a right-quotient expression;
